@@ -257,7 +257,7 @@ func benchName(prefix string, n int) string {
 // Pipeline throughput benchmarks: the same pre-generated event stream
 // replayed through each execution mode. Requests/sec is reported as a
 // metric so mode comparisons read directly off the bench output;
-// allocs/op shows the pooled/flat-vector hot path at work. Sharded's
+// allocs/op shows the pooled/flat-vector hot path at work. Relaxed's
 // advantage over Sequential scales with GOMAXPROCS (≈none on one core, as
 // the modes do identical per-request work).
 
@@ -348,7 +348,7 @@ func benchmarkPipelineMode(b *testing.B, mode pipeline.Mode, shards int) {
 	if elapsed > 0 {
 		b.ReportMetric(float64(len(events)*b.N)/elapsed.Seconds(), "req/s")
 	}
-	if mode == pipeline.Sharded || mode == pipeline.ShardedRelaxed {
+	if mode == pipeline.ShardedRelaxed {
 		// Report the worker count the pipeline actually ran with (the
 		// configured count after defaulting), not GOMAXPROCS: recorded
 		// results must say what executed, whatever machine ran them.
@@ -357,26 +357,15 @@ func benchmarkPipelineMode(b *testing.B, mode pipeline.Mode, shards int) {
 }
 
 func BenchmarkPipelineSequential(b *testing.B) { benchmarkPipelineMode(b, pipeline.Sequential, 0) }
-func BenchmarkPipelineConcurrent(b *testing.B) { benchmarkPipelineMode(b, pipeline.Concurrent, 0) }
-func BenchmarkPipelineSharded(b *testing.B)    { benchmarkPipelineMode(b, pipeline.Sharded, 0) }
-func BenchmarkPipelineRelaxed(b *testing.B) {
-	benchmarkPipelineMode(b, pipeline.ShardedRelaxed, 0)
-}
-
-// BenchmarkPipelineShardedMulti pins explicit shard counts, so the
-// trajectory of the sharded mode is interpretable on any machine
-// regardless of its GOMAXPROCS (the default the bare bench uses).
-func BenchmarkPipelineShardedMulti(b *testing.B) {
-	b.Run("shards=4", func(b *testing.B) { benchmarkPipelineMode(b, pipeline.Sharded, 4) })
-}
+func BenchmarkPipelineRelaxed(b *testing.B)    { benchmarkPipelineMode(b, pipeline.ShardedRelaxed, 0) }
 
 // BenchmarkPipelineRelaxedMulti records the relaxed mode's shard scaling
 // curve. On a multi-core host the curve should rise toward GOMAXPROCS;
 // on a single-core host it is flat (all modes do identical per-request
 // work and there is no second core to win), which is itself the honest
-// measurement — the structural claim (no merge wall: zero merge stalls,
-// zero merge spans) is pinned by the pipeline's relaxed test suite, not
-// by this number.
+// measurement — the structural claims (per-client identity, multiset
+// equality) are pinned by the pipeline's relaxed test suite, not by this
+// number.
 func BenchmarkPipelineRelaxedMulti(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		b.Run(benchName("shards", shards), func(b *testing.B) {
@@ -385,14 +374,11 @@ func BenchmarkPipelineRelaxedMulti(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineStages replays the stream through the sharded
+// BenchmarkPipelineStages replays the stream through the ShardedRelaxed
 // pipeline with the tracing plane armed (spans on, flight-record capture
-// off) and reports each stage's mean span in nanoseconds plus the
-// merge-stall count. This is the observability the ROADMAP's scaling
-// item needs: the per-stage breakdown shows where the sharded mode's
-// serial section — the sequence-ordered merger — eats the parallel
-// speedup, and merge-stalls counts how often completed batches waited on
-// an earlier sequence number.
+// off) and reports each stage's mean span in nanoseconds: parse and
+// enrich on the producer, each detector and the sink on the shard
+// workers.
 func BenchmarkPipelineStages(b *testing.B) {
 	events := pipelineBenchEvents(b)
 	const shards = 4
@@ -407,7 +393,7 @@ func BenchmarkPipelineStages(b *testing.B) {
 			func() (detector.Detector, error) { return arcane.New(arcane.Config{}) },
 		},
 		Reputation: iprep.BuildFeed(),
-		Mode:       pipeline.Sharded,
+		Mode:       pipeline.ShardedRelaxed,
 		Shards:     shards,
 		Trace:      tracer,
 	})
@@ -443,11 +429,10 @@ func BenchmarkPipelineStages(b *testing.B) {
 		}
 		b.ReportMetric(st.Mean()*1e9, st.Name()+"-ns")
 	}
-	b.ReportMetric(float64(tracer.MergeStalls())/float64(b.N), "merge-stalls")
 }
 
 // BenchmarkSnapshotRestore measures the durable state plane: one
-// iteration checkpoints a traffic-warmed sharded pipeline's full
+// iteration checkpoints a traffic-warmed ShardedRelaxed pipeline's full
 // detection state (every per-client session across both detectors) and
 // restores it into a second, differently sharded pipeline — the
 // process-restart path. The snapshot size rides along as a metric, so
@@ -461,7 +446,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 				func() (detector.Detector, error) { return arcane.New(arcane.Config{}) },
 			},
 			Reputation: iprep.BuildFeed(),
-			Mode:       pipeline.Sharded,
+			Mode:       pipeline.ShardedRelaxed,
 			Shards:     shards,
 		})
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"divscrape/internal/cluster"
 	"divscrape/internal/iprep"
 	"divscrape/internal/mitigate"
+	"divscrape/internal/statecodec"
 	"divscrape/internal/trace"
 )
 
@@ -21,52 +22,106 @@ import (
 // digests and reputation-overlay entries — to its peers over HTTP, so a
 // client split across nodes (or re-routed after a node failure) is met
 // with the enforcement rung it already earned elsewhere. Detector session
-// stores stay node-local: they are confined to the pipeline goroutine and
+// stores stay node-local: they are confined to the pipeline's goroutines and
 // rebuild organically from traffic (the embedded httpguard deployment
 // shape ships session digests too; see httpguard/cluster.go).
 
-// engineBackend adapts the follow pipeline's singleton response state —
-// the -mitigate engine and the reputation overlay — to the cluster
-// replication contract. The engine is single-threaded by design, so every
-// access from the cluster plane (peer merges arrive on HTTP serving
-// goroutines, outbound digests are collected on the tick goroutine) locks
-// mu; the sink goroutine takes the same lock around its engine calls. The
-// overlay is copy-on-write behind an atomic pointer and needs no locking.
+// engineBackend holds the -mitigate response state — one ladder engine
+// per pipeline shard, plus the reputation overlay — and adapts it to the
+// cluster replication contract. Engines are single-threaded by design, so
+// each sits behind its own lock: the shard's sink takes it around every
+// engine call, and so does every access from the cluster plane (peer
+// merges arrive on HTTP serving goroutines, outbound digests are
+// collected on the tick goroutine). Clients hash to engines with the
+// pipeline's partition rule, so a replicated digest lands on the engine
+// that judges that client's requests. The overlay is copy-on-write
+// behind an atomic pointer and needs no locking.
 type engineBackend struct {
-	mu     sync.Mutex
-	engine *mitigate.Engine
+	shards []engineShard
 	rep    *iprep.DB
 }
 
-func newEngineBackend(engine *mitigate.Engine, rep *iprep.DB) *engineBackend {
-	return &engineBackend{engine: engine, rep: rep}
+// engineShard is one pipeline shard's ladder engine and its lock.
+type engineShard struct {
+	mu     sync.Mutex
+	engine *mitigate.Engine
 }
 
-// lockEngine/unlockEngine bracket the sink's engine accesses. Both are
-// no-ops on a nil backend, so the sink stays branch-free about whether
-// the cluster plane is wired.
-func (b *engineBackend) lockEngine() {
-	if b != nil {
-		b.mu.Lock()
+// EvictBefore lets the shard's windowed sweeper drive its engine through
+// the lock the cluster plane uses, keeping eviction serialised with peer
+// merges.
+func (s *engineShard) EvictBefore(cutoff time.Time) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engine.EvictBefore(cutoff)
+}
+
+func newEngineBackend(engines []*mitigate.Engine, rep *iprep.DB) *engineBackend {
+	b := &engineBackend{shards: make([]engineShard, len(engines)), rep: rep}
+	for i, e := range engines {
+		b.shards[i].engine = e
+	}
+	return b
+}
+
+// lockAll takes every shard's lock and returns the engines, for the
+// whole-set operations (snapshot, restore, counts); unlockAll releases
+// them.
+func (b *engineBackend) lockAll() []*mitigate.Engine {
+	engines := make([]*mitigate.Engine, len(b.shards))
+	for i := range b.shards {
+		b.shards[i].mu.Lock()
+		engines[i] = b.shards[i].engine
+	}
+	return engines
+}
+
+func (b *engineBackend) unlockAll() {
+	for i := range b.shards {
+		b.shards[i].mu.Unlock()
 	}
 }
 
-func (b *engineBackend) unlockEngine() {
-	if b != nil {
-		b.mu.Unlock()
+// snapshotInto writes the engines' union as one canonical snapshot, so
+// state files carry no trace of the shard count that wrote them.
+func (b *engineBackend) snapshotInto(w *statecodec.Writer) {
+	mitigate.SnapshotMerged(w, b.lockAll())
+	b.unlockAll()
+}
+
+// restoreFrom distributes a canonical snapshot across the engines by the
+// pipeline's partition rule.
+func (b *engineBackend) restoreFrom(r *statecodec.Reader) error {
+	n := len(b.shards)
+	err := mitigate.RestorePartitioned(r, b.lockAll(), func(key string) int { return iprep.ShardOf(key, n) })
+	b.unlockAll()
+	return err
+}
+
+// counts sums the engines' lifetime action tallies.
+func (b *engineBackend) counts() mitigate.ActionCounts {
+	var c mitigate.ActionCounts
+	for _, e := range b.lockAll() {
+		c.Add(e.Counts())
 	}
+	b.unlockAll()
+	return c
 }
 
 func (b *engineBackend) LadderDigestsSince(since time.Time, fn func(mitigate.ClientDigest)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.engine.DigestsSince(since, fn)
+	for i := range b.shards {
+		s := &b.shards[i]
+		s.mu.Lock()
+		s.engine.DigestsSince(since, fn)
+		s.mu.Unlock()
+	}
 }
 
 func (b *engineBackend) MergeLadderDigest(d mitigate.ClientDigest) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.engine.MergeDigest(d)
+	s := &b.shards[iprep.ShardOf(d.Key, len(b.shards))]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engine.MergeDigest(d)
 }
 
 func (b *engineBackend) OverlayEntries(fn func(iprep.TempEntry)) {
@@ -78,24 +133,16 @@ func (b *engineBackend) MergeOverlayEntry(e iprep.TempEntry) bool {
 }
 
 // SessionDigestsSince is deliberately empty: the CLI's detector session
-// stores are confined to the pipeline goroutine, so this deployment shape
-// replicates enforcement state only and lets sessions rebuild from
+// stores are confined to the pipeline's goroutines, so this deployment
+// shape replicates enforcement state only and lets sessions rebuild from
 // traffic after a failover.
 func (b *engineBackend) SessionDigestsSince(time.Time, func(cluster.SessionDigest)) {}
 
 func (b *engineBackend) SetEscalationFrozen(frozen bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.engine.SetEscalationFrozen(frozen)
-}
-
-// EvictBefore lets the windowed sweeper drive the engine through the
-// same lock the cluster plane uses, keeping eviction serialised with
-// peer merges.
-func (b *engineBackend) EvictBefore(cutoff time.Time) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.engine.EvictBefore(cutoff)
+	for _, e := range b.lockAll() {
+		e.SetEscalationFrozen(frozen)
+	}
+	b.unlockAll()
 }
 
 // degradedPolicyOf resolves the -cluster-degraded flag.

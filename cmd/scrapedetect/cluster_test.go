@@ -82,7 +82,7 @@ func newClusterEngine(t *testing.T) (*mitigate.Engine, *engineBackend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, newEngineBackend(eng, iprep.BuildFeed())
+	return eng, newEngineBackend([]*mitigate.Engine{eng}, iprep.BuildFeed())
 }
 
 // TestClusterHTTPReplication proves the CLI deployment shape end to end:
@@ -139,12 +139,12 @@ func TestClusterHTTPReplication(t *testing.T) {
 	// Climb the ladder for one client on node 1 and learn an overlay
 	// entry there, through the same locked paths the sink uses.
 	const client = "203.0.113.9"
-	be1.lockEngine()
+	be1.shards[0].mu.Lock()
 	for i := 0; i < 3; i++ {
 		eng1.Apply(client, nowFn().Add(time.Duration(i)*time.Millisecond),
 			mitigate.Assessment{Alerted: true, Confirmed: true, Score: 0.9})
 	}
-	be1.unlockEngine()
+	be1.shards[0].mu.Unlock()
 	be1.MergeOverlayEntry(iprep.TempEntry{
 		Prefix: iprep.Prefix{IP: 0xC6336407, Bits: 32},
 		Cat:    iprep.KnownScraper,

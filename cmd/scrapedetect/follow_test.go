@@ -118,20 +118,6 @@ func TestRunFollowFlagValidation(t *testing.T) {
 		t.Error("negative -window accepted")
 	}
 	if err := run(&sb, []string{
-		"-follow", "-log", logPath, "-parallel", "4",
-		"-checkpoint", filepath.Join(dir, "c.bin"),
-	}); err == nil {
-		t.Error("-checkpoint with a sharded follow accepted; it must require seq")
-	}
-	// The same guard applies to replay mode: a sharded run dropping its
-	// in-flight window at each checkpoint would desynchronise the state
-	// file from the verdict stream.
-	if err := run(&sb, []string{
-		"-log", logPath, "-parallel", "4", "-checkpoint", filepath.Join(dir, "c.bin"),
-	}); err == nil {
-		t.Error("-checkpoint with a sharded replay accepted; it must require seq")
-	}
-	if err := run(&sb, []string{
 		"-log", logPath, "-checkpoint", filepath.Join(dir, "c.bin"), "-checkpoint-every", "0",
 	}); err == nil {
 		t.Error("zero -checkpoint-every accepted")

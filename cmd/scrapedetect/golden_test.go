@@ -127,8 +127,32 @@ func TestGoldenRelaxedMatchesSequential(t *testing.T) {
 	}
 }
 
+// The relaxed pipeline runs one ladder engine per shard; each client's
+// requests all reach one shard in their own order, so the what-if
+// mitigation table must match the sequential golden at any shard count.
+func TestGoldenRelaxedMitigationMatchesSequential(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "mitigate.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []string{"1", "3", "8"} {
+		var sb strings.Builder
+		err := run(&sb, []string{
+			"-log", "testdata/access.log",
+			"-mode", "relaxed", "-parallel", shards,
+			"-mitigate", "graduated",
+		})
+		if err != nil {
+			t.Fatalf("-parallel %s: %v", shards, err)
+		}
+		if tablesOf(scrubTiming(sb.String())) != tablesOf(string(want)) {
+			t.Errorf("-parallel %s: relaxed mitigation tables differ from sequential golden:\n%s", shards, sb.String())
+		}
+	}
+}
+
 // The parallel parser must not change the verdict stream: same tables,
-// any worker count, in the default sharded mode too.
+// any worker count.
 func TestGoldenParseWorkersMatchesSequential(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "summary.golden"))
 	if err != nil {

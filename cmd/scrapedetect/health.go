@@ -18,7 +18,7 @@ import (
 // durability, not detection; a read error is retried with backoff), so
 // the watchdog is how an operator learns the service is limping.
 
-// watchdogEvery is the sink-event period between watchdog polls.
+// watchdogEvery is the source-entry period between watchdog polls.
 const watchdogEvery = 256
 
 // watchdog tracks failure counters across polls. All state is atomic:

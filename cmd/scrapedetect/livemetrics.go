@@ -17,7 +17,7 @@ import (
 // liveMetrics is the CLI's observability surface for follow mode: a
 // registry mixing sink-updated counters (events, per-detector alerts,
 // checkpoints — plain atomics, safe against the serving goroutine) with
-// read-only instruments over the follower's and sweeper's own atomic
+// read-only instruments over the follower's and sweepers' own atomic
 // counters. Everything a scraper reads is lock-free; nothing reads the
 // single-threaded engine or detector state.
 type liveMetrics struct {
@@ -32,7 +32,7 @@ type liveMetrics struct {
 	// here so construction and serving cannot wire different instances.
 	pipe *pipeline.Pipeline
 	fl   *stream.Follower
-	sw   *stream.Sweeper
+	sws  []*stream.Sweeper
 
 	// Failure plane (wired by wireFailurePlane; nil in plain replays and
 	// in tests that never wire it, where the health endpoint reports
@@ -52,11 +52,11 @@ type liveMetrics struct {
 // newLiveMetrics builds the surface over a caller-owned registry, so the
 // tracer's stage histograms (registered by trace.New before the pipeline
 // is built) and the sink counters here end up on one scrape page.
-func newLiveMetrics(r *metrics.Registry, pipe *pipeline.Pipeline, fl *stream.Follower, sw *stream.Sweeper) *liveMetrics {
+func newLiveMetrics(r *metrics.Registry, pipe *pipeline.Pipeline, fl *stream.Follower, sws []*stream.Sweeper) *liveMetrics {
 	if r == nil {
 		r = metrics.NewRegistry()
 	}
-	m := &liveMetrics{reg: r, pipe: pipe, fl: fl, sw: sw}
+	m := &liveMetrics{reg: r, pipe: pipe, fl: fl, sws: sws}
 	m.events = r.MustCounter("divscrape_events_total", "Log entries judged.")
 	for _, name := range pipe.Detectors() {
 		m.alerts = append(m.alerts, r.MustCounter("divscrape_alerts_total",
@@ -67,20 +67,12 @@ func newLiveMetrics(r *metrics.Registry, pipe *pipeline.Pipeline, fl *stream.Fol
 
 	r.MustCounterFunc("divscrape_evict_sweeps_total", "Windowed eviction sweeps run.",
 		func() uint64 {
-			s, _ := pipe.EvictionStats()
-			if sw != nil {
-				s2, _ := sw.Stats()
-				s += s2
-			}
+			s, _ := m.evictionStats()
 			return s
 		})
 	r.MustCounterFunc("divscrape_evicted_total", "State entries dropped by windowed sweeps.",
 		func() uint64 {
-			_, e := pipe.EvictionStats()
-			if sw != nil {
-				_, e2 := sw.Stats()
-				e += e2
-			}
+			_, e := m.evictionStats()
 			return e
 		})
 	if fl != nil {
@@ -101,6 +93,18 @@ func newLiveMetrics(r *metrics.Registry, pipe *pipeline.Pipeline, fl *stream.Fol
 			stat(func(s stream.FollowerStats) uint64 { return s.ReadErrors }))
 	}
 	return m
+}
+
+// evictionStats sums the windowed sweeps and evictions of the pipeline's
+// detectors and of every engine sweeper.
+func (m *liveMetrics) evictionStats() (sweeps, evicted uint64) {
+	sweeps, evicted = m.pipe.EvictionStats()
+	for _, sw := range m.sws {
+		s, e := sw.Stats()
+		sweeps += s
+		evicted += e
+	}
+	return sweeps, evicted
 }
 
 // wireFailurePlane attaches the watchdog and checkpoint saver to the
@@ -177,12 +181,7 @@ func (m *liveMetrics) handler(mode string, shards int, follow bool, window time.
 			Events:      m.events.Value(),
 			Checkpoints: m.checkpoints.Value(),
 		}
-		st.Sweeps, st.Evicted = m.pipe.EvictionStats()
-		if m.sw != nil {
-			s, e := m.sw.Stats()
-			st.Sweeps += s
-			st.Evicted += e
-		}
+		st.Sweeps, st.Evicted = m.evictionStats()
 		if m.fl != nil {
 			fs := m.fl.Stats()
 			st.Follower = &fs

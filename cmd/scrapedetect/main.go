@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	scrapedetect -log access.log [-detectors sentinel,arcane,trajectory] [-labels labels.csv] [-parallel N] [-mode seq|conc|shard|relaxed] [-parse-workers N] [-out verdicts.csv] [-mitigate observe|tag|block|graduated] [-save-state f] [-load-state f] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	scrapedetect -log access.log [-detectors sentinel,arcane,trajectory] [-labels labels.csv] [-parallel N] [-mode seq|relaxed] [-parse-workers N] [-out verdicts.csv] [-mitigate observe|tag|block|graduated] [-save-state f] [-load-state f] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	scrapedetect -follow -log access.log [-metrics-addr :9090] [-window 2h] [-checkpoint state.bin -checkpoint-every 100000] [-mitigate graduated]
 //
 // -detectors picks which detectors judge the stream (default the paper's
@@ -17,17 +17,14 @@
 // records — follows the selected set.
 //
 // By default the log is partitioned by client IP across GOMAXPROCS worker
-// shards (-parallel); pass -parallel 0 (or 1) for the single-threaded
-// reference pipeline. seq, conc and shard produce byte-identical verdict
-// streams; -mode relaxed drops the stream-order merge — every request
-// still gets the identical verdict and per-client order is preserved, but
-// cross-client interleaving is not, so the summary tables (all
-// order-free counts) match exactly while order-dependent outputs
-// (-out, -mitigate, -trace-out, -explain, -checkpoint) are refused.
-// conc is deprecated: it models the paper's deployment shape (both
-// detectors judging the same request in parallel) and adds hand-off
-// overhead that usually exceeds the detector work; for parallel
-// throughput use -mode relaxed, for ordered parallelism -mode shard.
+// shards (-parallel N>1 selects -mode relaxed); pass -parallel 0 (or 1)
+// or -mode seq for the single-threaded reference pipeline. Every shard
+// judges its clients in their own order and keeps its own tallies and
+// -mitigate ladder engine, so every request gets the identical verdict
+// and enforcement decision in both modes: the summary tables and the
+// -save-state file are byte-identical. Only the cross-client
+// interleaving differs, so the outputs that record one total decision
+// order (-out, -trace-out, -explain) require -mode seq.
 // -parse-workers additionally fans the replay's log parsing across
 // goroutines (chunked on newline boundaries, order preserved) — useful
 // on multi-core hosts where ingest, not detection, is the wall.
@@ -38,46 +35,47 @@
 // react to it.
 //
 // -save-state checkpoints every per-client detection history (and the
-// -mitigate engine's ladder state) after the replay; -load-state restores
+// -mitigate engines' ladder state) after the replay; -load-state restores
 // one before it. Splitting a log at any line and replaying the halves in
 // two processes with a checkpoint between them produces verdict streams
 // identical to one uninterrupted run — rotated daily logs can be analysed
 // day by day without losing multi-day session memory. The state file is
 // topology-independent: it can be saved from a sequential run and loaded
-// into a sharded one, or vice versa.
+// into a sharded one at any shard count, or vice versa.
 //
 // # Live operation
 //
 // -follow turns the replay into a long-running service: the log is
 // tailed through rotation and truncation, ingestion is backpressure-aware
 // (the pipeline pulls, the file buffers), and the pipeline defaults to
-// sequential — a live tail is latency-bound, not throughput-bound, and
-// the sharded producer's count-paced batching could hold verdicts behind
-// a partial batch on a quiet log (pass -parallel N explicitly to opt
-// in). Windowed eviction (-window,
-// default two hours) bounds every stateful layer — detector session
-// stores, and the -mitigate engine via the event-time sweeper — so
-// steady-state memory is O(clients active in the window) over days of
-// uptime. -metrics-addr serves /debug/divscrape/metrics (Prometheus
+// sequential — a live tail is bound by the log's write rate, not by
+// detection throughput (pass -parallel N explicitly to opt in to
+// relaxed). Windowed eviction (-window, default two hours) bounds every
+// stateful layer — detector session stores, and the -mitigate engines
+// via per-shard event-time sweepers — so steady-state memory is
+// O(clients active in the window) over days of uptime. -metrics-addr serves /debug/divscrape/metrics (Prometheus
 // text; ?format=json for JSON) and /debug/divscrape/state.
 // -checkpoint/-checkpoint-every persist the full detection state
 // periodically through the durable state plane, so a restarted follower
 // resumes with its session memory intact (-load-state the checkpoint).
+// A checkpoint ends the current pipeline run at a segment boundary, so
+// every shard has drained before the state is written, and the same
+// source then continues.
 // SIGINT/SIGTERM stop the tail, drain buffered lines, write a final
 // checkpoint and print the summary tables.
 //
 // # Tracing and provenance
 //
 // -trace records per-stage latency histograms (parse, enrich, per-detector
-// detect, ensemble, sink — plus merge and per-shard occupancy in shard
+// detect, ensemble, sink — plus per-shard ring occupancy in relaxed
 // mode) into the metrics registry and samples decisions into a bounded
 // flight recorder served at /debug/divscrape/trace and
 // /debug/divscrape/explain. -trace-out writes every captured record as
 // JSON lines to a file (an audit stream); -explain CLIENT always captures
 // one client and prints its provenance timeline — per-detector verdicts,
 // feature vectors, mitigation rung transitions — after the replay. Both
-// imply -trace and default to the sequential pipeline, where feature
-// snapshots are coherent with the sink. -pprof additionally serves
+// imply -trace and require the sequential pipeline, where records arrive
+// in one order and feature snapshots are coherent with the sink. -pprof additionally serves
 // net/http/pprof under /debug/pprof/ on -metrics-addr;
 // -block-profile-rate and -mutex-profile-fraction arm the corresponding
 // runtime profiles for it.
@@ -87,7 +85,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -98,7 +95,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -123,7 +119,7 @@ import (
 )
 
 // buildDetectors resolves the -detectors list into live detectors plus
-// the factories the sharded pipeline clones per-shard state from. The
+// the factories the relaxed pipeline clones per-shard state from. The
 // trajectory factory hands every shard the same trained model — the
 // model is immutable after training, so sharing it is what keeps shard
 // verdicts identical to the sequential run's.
@@ -222,16 +218,10 @@ func (a *alertAgreement) merge(o *alertAgreement) {
 
 // modeNameOf names a pipeline mode for the summary header.
 func modeNameOf(m pipeline.Mode) string {
-	switch m {
-	case pipeline.Concurrent:
-		return "conc"
-	case pipeline.Sharded:
-		return "shard"
-	case pipeline.ShardedRelaxed:
+	if m == pipeline.ShardedRelaxed {
 		return "relaxed"
-	default:
-		return "seq"
 	}
+	return "seq"
 }
 
 // mitigationPolicy resolves the -mitigate flag.
@@ -257,20 +247,22 @@ func main() {
 	}
 }
 
-// saveStateTo checkpoints the pipeline (and the -mitigate engine, when
+// saveStateTo checkpoints the pipeline (and the -mitigate engines, when
 // present) through a crash-safe saver: the versioned, checksummed frame
 // is written to a temp file, fsynced and atomically renamed over the
 // newest generation, with the previous generations rotated down a slot
 // and transient write failures retried with backoff — a crash or a full
-// disk at any instant leaves every earlier generation intact.
-func saveStateTo(s *checkpoint.Saver, pipe *pipeline.Pipeline, engine *mitigate.Engine) error {
+// disk at any instant leaves every earlier generation intact. Both
+// halves are written in canonical merged form, so the bytes do not
+// depend on the mode or shard count.
+func saveStateTo(s *checkpoint.Saver, pipe *pipeline.Pipeline, engines *engineBackend) error {
 	w := statecodec.NewWriter()
 	if err := pipe.Checkpoint(w); err != nil {
 		return fmt.Errorf("save state: %w", err)
 	}
-	w.Bool(engine != nil)
-	if engine != nil {
-		engine.SnapshotInto(w)
+	w.Bool(engines != nil)
+	if engines != nil {
+		engines.snapshotInto(w)
 	}
 	return s.Save(w)
 }
@@ -283,7 +275,7 @@ func saveStateTo(s *checkpoint.Saver, pipe *pipeline.Pipeline, engine *mitigate.
 // engine's ladder state cannot be silently dropped or invented; that
 // mismatch aborts the walk rather than falling back, because an older
 // generation would mismatch identically.
-func loadStateFile(path string, pipe *pipeline.Pipeline, engine *mitigate.Engine) error {
+func loadStateFile(path string, pipe *pipeline.Pipeline, engines *engineBackend) error {
 	restore := func(r *statecodec.Reader) error {
 		if err := pipe.ResumeFrom(r); err != nil {
 			return err
@@ -293,14 +285,12 @@ func loadStateFile(path string, pipe *pipeline.Pipeline, engine *mitigate.Engine
 			return err
 		}
 		switch {
-		case hasEngine && engine == nil:
+		case hasEngine && engines == nil:
 			return fmt.Errorf("file carries mitigation state; pass the same -mitigate policy it was saved with")
-		case !hasEngine && engine != nil:
+		case !hasEngine && engines != nil:
 			return fmt.Errorf("file carries no mitigation state; drop -mitigate or re-save with it")
 		case hasEngine:
-			if err := engine.RestoreFrom(r); err != nil {
-				return err
-			}
+			return engines.restoreFrom(r)
 		}
 		return nil
 	}
@@ -319,8 +309,8 @@ func run(w io.Writer, args []string) error {
 	logPath := fs.String("log", "access.log", "access log to analyse")
 	detectorsFlag := fs.String("detectors", "sentinel,arcane", "comma-separated detectors to run: sentinel, arcane, trajectory")
 	labelPath := fs.String("labels", "", "optional label sidecar for sensitivity/specificity")
-	mode := fs.String("mode", "", "pipeline mode: seq, conc (deprecated), shard or relaxed (default derived from -parallel)")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker shards for shard/relaxed modes; 0 or 1 runs sequentially (conc is deprecated: prefer -mode relaxed for parallel throughput)")
+	mode := fs.String("mode", "", "pipeline mode: seq or relaxed (default derived from -parallel)")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker shards; more than 1 selects -mode relaxed, 0 or 1 runs sequentially")
 	parseWorkers := fs.Int("parse-workers", 1, "parallel log-parse workers for replays (chunked on line boundaries, entry order preserved); 0 selects GOMAXPROCS, incompatible with -follow")
 	outPath := fs.String("out", "", "optional per-request verdict CSV output")
 	mitigateName := fs.String("mitigate", "", "replay a response policy over the decisions: observe, tag, block or graduated")
@@ -410,93 +400,52 @@ func run(w io.Writer, args []string) error {
 			f.Close()
 		}()
 	}
-	var engine *mitigate.Engine
-	var challengeFlow bool
+	var policy *mitigate.Policy
 	if *mitigateName != "" {
-		policy, err := mitigationPolicy(*mitigateName)
+		pol, err := mitigationPolicy(*mitigateName)
 		if err != nil {
 			return err
 		}
-		engine, err = mitigate.New(policy)
-		if err != nil {
-			return err
-		}
-		// Mirror httpguard: only a challenge-capable policy hosts (and
-		// therefore exempts) the challenge flow; under static policies
-		// those requests are ordinary traffic.
-		challengeFlow = policy.UsesChallenge()
-	}
-	// The reputation feed is hoisted out of the pipeline config so the
-	// cluster backend can replicate its dynamic overlay.
-	rep := iprep.BuildFeed()
-	var clusterBE *engineBackend
-	if *clusterListen != "" {
-		clusterBE = newEngineBackend(engine, rep)
+		policy = &pol
 	}
 	if *parallel < 0 {
 		return fmt.Errorf("invalid -parallel %d (want >= 0)", *parallel)
 	}
 
 	// -mode wins when given; otherwise -parallel picks between the
-	// sequential reference and the sharded pipeline. Follow mode defaults
-	// to sequential unless parallelism was explicitly requested: a live
-	// tail is latency-sensitive (the sharded producer batches hand-offs
-	// by request count, so on a quiet log a partial batch can hold
-	// verdicts back for hours of wall time), and the sequential pipeline
-	// already sustains >1M req/s — far beyond any single log file.
+	// sequential reference and the relaxed pipeline. Follow mode and the
+	// total-order outputs default to sequential unless parallelism was
+	// explicitly requested: a live tail is bound by the log's write rate,
+	// not detection throughput (the sequential pipeline's end-to-end
+	// median is 267k req/s in e2ebench's replay-seq workload), and -out,
+	// -trace-out and -explain need one total decision order.
 	parallelSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "parallel" {
 			parallelSet = true
 		}
 	})
+	ordered := *outPath != "" || *traceOut != "" || *explainClient != ""
 	var pmode pipeline.Mode
 	switch *mode {
 	case "seq":
 		pmode = pipeline.Sequential
-	case "conc":
-		pmode = pipeline.Concurrent
-	case "shard":
-		pmode = pipeline.Sharded
 	case "relaxed":
 		pmode = pipeline.ShardedRelaxed
 	case "":
-		switch {
-		case *follow && !parallelSet:
-			pmode = pipeline.Sequential
-		case (*traceOut != "" || *explainClient != "") && !parallelSet:
-			// The recorder modes default to sequential: feature snapshots
-			// alias the detectors' scratch vectors, which only stay valid
-			// while the sink runs synchronously with InspectInto.
-			pmode = pipeline.Sequential
-		case *parallel > 1:
-			pmode = pipeline.Sharded
-		default:
-			pmode = pipeline.Sequential
+		pmode = pipeline.Sequential
+		if *parallel > 1 && (parallelSet || !(*follow || ordered)) {
+			pmode = pipeline.ShardedRelaxed
 		}
 	default:
-		return fmt.Errorf("invalid -mode %q (want seq, conc, shard or relaxed)", *mode)
+		return fmt.Errorf("invalid -mode %q (want seq or relaxed)", *mode)
 	}
-	if pmode == pipeline.ShardedRelaxed {
-		// Relaxed mode trades the stream-order merge away, so everything
-		// that depends on a single in-order decision stream is refused
-		// up front rather than silently degraded: the verdict CSV is
-		// written by sequence into a dense table, the mitigation ladder
-		// is stateful across clients, the flight recorder's audit stream
-		// and explain timelines snapshot features synchronously, and the
-		// periodic checkpoint quiesces only the sequential pipeline.
-		switch {
-		case *mitigateName != "":
-			return fmt.Errorf("-mitigate requires an ordered pipeline (-mode seq or shard)")
-		case *outPath != "":
-			return fmt.Errorf("-out requires an ordered pipeline (-mode seq or shard)")
-		case *traceOut != "":
-			return fmt.Errorf("-trace-out requires the sequential pipeline (-mode seq)")
-		case *explainClient != "":
-			return fmt.Errorf("-explain requires the sequential pipeline (-mode seq)")
-		case *checkpointPath != "":
-			return fmt.Errorf("-checkpoint requires the sequential pipeline (-mode seq)")
-		}
+	if pmode == pipeline.ShardedRelaxed && ordered {
+		// The one mode rule: shards deliver independently, so the verdict
+		// CSV (written by sequence), the audit stream and explain
+		// timelines (feature snapshots coherent with a synchronous sink)
+		// have no single order to record.
+		return fmt.Errorf("-out, -trace-out and -explain record one total decision order; run them with -mode seq")
 	}
 	if *parseWorkers < 0 {
 		return fmt.Errorf("invalid -parse-workers %d (want >= 0)", *parseWorkers)
@@ -504,25 +453,9 @@ func run(w io.Writer, args []string) error {
 	if *parseWorkers != 1 && *follow {
 		return fmt.Errorf("-parse-workers applies to replays; -follow tails a live log line by line")
 	}
-	if *checkpointPath != "" && pmode != pipeline.Sequential {
-		// Quiescing for a periodic checkpoint aborts a concurrent/sharded
-		// run mid-window: entries already pulled from the source but not
-		// yet sinked would be dropped, silently desynchronising the
-		// checkpoint from the verdict stream. Only the sequential
-		// pipeline stops exactly at the sink.
-		return fmt.Errorf("-checkpoint requires the sequential pipeline (-parallel 0 or -mode seq)")
-	}
-	if *explainClient != "" && pmode != pipeline.Sequential {
-		// An explain timeline without feature vectors cannot answer "why";
-		// refuse the degraded form rather than serve it silently.
-		return fmt.Errorf("-explain requires the sequential pipeline (-parallel 0 or -mode seq)")
-	}
-	shards := *parallel
-	if shards <= 1 {
-		shards = 1
-	}
-	if pmode != pipeline.Sharded && pmode != pipeline.ShardedRelaxed {
-		shards = 1
+	shards := 1
+	if pmode == pipeline.ShardedRelaxed && *parallel > 1 {
+		shards = *parallel
 	}
 
 	dets, factories, err := buildDetectors(splitDetectorNames(*detectorsFlag))
@@ -533,10 +466,6 @@ func run(w io.Writer, args []string) error {
 	for i, d := range dets {
 		detNames[i] = d.Name()
 	}
-	// The mitigation quorum: a strict majority of the selected detectors
-	// confirms a request (both-of-two for the paper's pair, two-of-three
-	// with trajectory added).
-	confirmVotes := len(dets)/2 + 1
 
 	// The registry is created before the pipeline so the tracer's stage
 	// histograms and the sink counters share one scrape page; the tracer
@@ -561,18 +490,20 @@ func run(w io.Writer, args []string) error {
 			recCfg.Sink = func(r trace.Record) { _ = enc.Encode(r) }
 		}
 		tshards := 0
-		if pmode == pipeline.Sharded || pmode == pipeline.ShardedRelaxed {
+		if pmode == pipeline.ShardedRelaxed {
 			tshards = shards
 		}
 		tracer = trace.New(trace.Config{
 			Registry:  reg,
 			Detectors: detNames,
 			Shards:    tshards,
-			Relaxed:   pmode == pipeline.ShardedRelaxed,
 			Recorder:  recCfg,
 		})
 	}
 
+	// The reputation feed is hoisted out of the pipeline config so the
+	// cluster backend can replicate its dynamic overlay.
+	rep := iprep.BuildFeed()
 	pipe, err := pipeline.New(pipeline.Config{
 		Detectors:   dets,
 		Factories:   factories,
@@ -587,26 +518,21 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	// The event-time sweeper bounds the layers outside the pipeline — the
-	// mitigation engine's ladder state — on the same retention window the
-	// pipeline's internal sweeps use.
-	var sweeper *stream.Sweeper
-	if engine != nil && *window > 0 {
-		sweeper, err = stream.NewSweeper(*window, *evictEvery, nil)
-		if err != nil {
-			return err
+	// One ladder engine per pipeline shard: a client's requests all reach
+	// one shard, so its ladder evolves exactly as in a single engine.
+	var engines *engineBackend
+	if policy != nil {
+		es := make([]*mitigate.Engine, shards)
+		for i := range es {
+			if es[i], err = mitigate.New(*policy); err != nil {
+				return err
+			}
 		}
-		if clusterBE != nil {
-			// Route eviction through the backend's lock so a sweep cannot
-			// race a peer merge arriving on an HTTP goroutine.
-			sweeper.Register("mitigate", clusterBE)
-		} else {
-			sweeper.Register("mitigate", engine)
-		}
+		engines = newEngineBackend(es, rep)
 	}
 
 	if *loadState != "" {
-		if err := loadStateFile(*loadState, pipe, engine); err != nil {
+		if err := loadStateFile(*loadState, pipe, engines); err != nil {
 			return err
 		}
 	}
@@ -691,12 +617,67 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(os.Stderr, "scrapedetect: watchdog: "+format+"\n", args...)
 	})
 
-	live := newLiveMetrics(reg, pipe, follower, sweeper)
+	// One sink per shard over one state type; the sequential pipeline is
+	// the one-shard case. Each shard's event-time sweeper bounds its
+	// engine's ladder state on the same retention window the pipeline's
+	// internal sweeps use.
+	env := &sinkEnv{
+		tracer:   tracer,
+		detNames: detNames,
+		labels:   labels,
+		// The mitigation quorum: a strict majority of the selected
+		// detectors confirms a request (both-of-two for the paper's pair,
+		// two-of-three with trajectory added).
+		confirmVotes: len(dets)/2 + 1,
+		// Mirror httpguard: only a challenge-capable policy hosts (and
+		// therefore exempts) the challenge flow; under static policies
+		// those requests are ordinary traffic.
+		challengeFlow: policy != nil && policy.UsesChallenge(),
+	}
+	if tracer != nil && pmode == pipeline.Sequential {
+		// Feature snapshots are only coherent in sequential mode, where
+		// the sink runs on the same goroutine as InspectInto; elsewhere
+		// flight records carry verdicts and reasons but no vectors.
+		// explainers aligns index-for-index with the detector list (nil
+		// slots for detectors without an explainer surface).
+		env.explainers = make([]detector.Explainer, len(dets))
+		for i, d := range dets {
+			if ex, ok := d.(detector.Explainer); ok {
+				env.explainers[i] = ex
+			}
+		}
+	}
+	sinks := make([]*shardSink, shards)
+	pipeSinks := make([]pipeline.Sink, shards)
+	var sweepers []*stream.Sweeper
+	for i := range sinks {
+		sk := &shardSink{
+			env:   env,
+			agree: newAlertAgreement(len(dets)),
+			confs: make([]evaluate.Confusion, len(dets)),
+		}
+		if engines != nil {
+			sk.engine = &engines.shards[i]
+			if *window > 0 {
+				sk.sweeper, err = stream.NewSweeper(*window, *evictEvery, nil)
+				if err != nil {
+					return err
+				}
+				sk.sweeper.Register("mitigate", sk.engine)
+				sweepers = append(sweepers, sk.sweeper)
+			}
+		}
+		sinks[i] = sk
+		pipeSinks[i] = sk.decide
+	}
+
+	live := newLiveMetrics(reg, pipe, follower, sweepers)
+	env.live = live
 	live.wireFailurePlane(wd, ckSaver, *checkpointRetain)
 	live.wireTrace(tracer.Recorder(), *pprofHTTP)
-	if clusterBE != nil {
+	if *clusterListen != "" {
 		peers := splitPeers(*clusterPeers, *clusterListen)
-		clu, err := startCluster(*clusterListen, peers, clusterPol, clusterBE, tracer.Recorder(),
+		clu, err := startCluster(*clusterListen, peers, clusterPol, engines, tracer.Recorder(),
 			func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "scrapedetect: "+format+"\n", args...)
 			})
@@ -722,226 +703,53 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(os.Stderr, "scrapedetect: metrics on http://%s/debug/divscrape/metrics\n", ln.Addr())
 	}
 
-	var verdictOut *alertlog.Writer
 	if *outPath != "" {
 		of, err := os.Create(*outPath)
 		if err != nil {
 			return err
 		}
 		defer of.Close()
-		verdictOut, err = alertlog.NewWriter(of, pipe.Detectors())
+		env.verdictOut, err = alertlog.NewWriter(of, pipe.Detectors())
 		if err != nil {
 			return err
 		}
 	}
 
-	var (
-		agree       = newAlertAgreement(len(dets))
-		confs       = make([]evaluate.Confusion, len(dets))
-		total       uint64
-		tagged      uint64
-		passed      uint64
-		checkpoints uint64
-		segment     int
-	)
-	// Sentinels steering the run loop: a due checkpoint quiesces the
-	// (sequential) pipeline so the state plane can serialise it, then the
-	// same Run/source pair continues where it stopped; the event bound
-	// ends the run cleanly.
-	errCheckpointDue := errors.New("checkpoint due")
-	errMaxEvents := errors.New("event bound reached")
-	// Feature snapshots are only coherent in sequential mode, where the
-	// sink runs on the same goroutine as InspectInto; elsewhere flight
-	// records carry verdicts and reasons but no vectors.
-	// explainers aligns index-for-index with the detector list (nil slots
-	// for detectors without an explainer surface).
-	var explainers []detector.Explainer
-	if tracer != nil && pmode == pipeline.Sequential {
-		explainers = make([]detector.Explainer, len(dets))
-		for i, d := range dets {
-			if ex, ok := d.(detector.Explainer); ok {
-				explainers[i] = ex
-			}
-		}
+	// The segmenter ends each Run at a checkpoint boundary or at the event
+	// bound; a due checkpoint is written once every shard has drained,
+	// then the same source continues.
+	seg := &segmenter{src: src, max: *maxEvents, poll: wd.poll}
+	if ckSaver != nil {
+		seg.every = uint64(*checkpointEvery)
 	}
-	sink := func(d pipeline.Decision) error {
-		votes := agree.add(d.Verdicts)
-		live.events.Inc()
-		for i := range d.Verdicts {
-			if d.Verdicts[i].Alert {
-				live.alerts[i].Inc()
-			}
-		}
-		if sweeper != nil {
-			sweeper.Observe(d.Req.Entry.Time)
-		}
-		var dec mitigate.Decision
-		var rungBefore mitigate.Action
-		judged := false
-		if engine != nil {
-			// With the cluster plane wired, peer merges reach the engine on
-			// HTTP goroutines; the sink's accesses serialise on the same
-			// lock. A nil backend makes both calls no-ops.
-			clusterBE.lockEngine()
-			e := &d.Req.Entry
-			// The challenge flow itself is exempt, mirroring httpguard and
-			// the closed-loop experiments: script fetches never count
-			// against the client, beacons mark the challenge solved.
-			switch {
-			case challengeFlow && e.Path == sitemodel.ChallengeScriptPath:
-			case challengeFlow && e.Path == sitemodel.ChallengeVerifyPath && e.Method == "POST":
-				engine.ChallengePassed(e.RemoteAddr, e.Time)
-				passed++
-			default:
-				if tracer != nil {
-					rungBefore = engine.Level(e.RemoteAddr)
-				}
-				ts := tracer.Now()
-				var scoreSum float64
-				for i := range d.Verdicts {
-					scoreSum += d.Verdicts[i].Score
-				}
-				dec = engine.Apply(e.RemoteAddr, e.Time, mitigate.Assessment{
-					Alerted:   votes > 0,
-					Confirmed: votes >= confirmVotes,
-					Score:     scoreSum / float64(len(d.Verdicts)),
-				})
-				tracer.Lap(trace.StageEnsemble, ts)
-				judged = true
-				if dec.Tagged {
-					tagged++
-					live.tagged.Inc()
-				}
-			}
-			clusterBE.unlockEngine()
-		}
-		if tracer != nil {
-			captureDecision(tracer, detNames, &d, judged, dec, rungBefore, explainers)
-		}
-		if verdictOut != nil {
-			if err := verdictOut.WriteAt(d.Req.Seq, d.Verdicts); err != nil {
-				return err
-			}
-		}
-		if labels != nil {
-			if d.Req.Seq >= uint64(len(labels)) {
-				return fmt.Errorf("label sidecar shorter than log (request %d)", d.Req.Seq)
-			}
-			malicious := labels[d.Req.Seq].Malicious()
-			for i := range d.Verdicts {
-				confs[i].Add(d.Verdicts[i].Alert, malicious)
-			}
-		}
-		total++
-		if total%watchdogEvery == 0 {
-			wd.poll()
-		}
-		if *maxEvents > 0 && total >= *maxEvents {
-			if follower != nil {
-				follower.Stop()
-			}
-			return errMaxEvents
-		}
-		if *checkpointPath != "" {
-			if segment++; segment >= *checkpointEvery {
-				segment = 0
-				return errCheckpointDue
-			}
-		}
-		return nil
-	}
+	var checkpoints uint64
 	started := time.Now()
-	if pmode == pipeline.ShardedRelaxed {
-		// Shards deliver independently into private partial tables (every
-		// table is a commutative count, so the merged totals are identical
-		// to an ordered run's); the live metrics and the flight recorder
-		// are concurrency-safe and shared. The watchdog has nothing to
-		// poll here — periodic checkpoints are refused in this mode and a
-		// follower read failure already terminates the run as the source
-		// error.
-		type relaxedAgg struct {
-			agree *alertAgreement
-			confs []evaluate.Confusion
-			total uint64
-		}
-		aggs := make([]relaxedAgg, pipe.Shards())
-		sinks := make([]pipeline.Sink, pipe.Shards())
-		var processed atomic.Uint64
-		for i := range sinks {
-			agg := &aggs[i]
-			agg.agree = newAlertAgreement(len(dets))
-			agg.confs = make([]evaluate.Confusion, len(dets))
-			sinks[i] = func(d pipeline.Decision) error {
-				agg.agree.add(d.Verdicts)
-				live.events.Inc()
-				for j := range d.Verdicts {
-					if d.Verdicts[j].Alert {
-						live.alerts[j].Inc()
-					}
-				}
-				if tracer != nil {
-					captureDecision(tracer, detNames, &d, false, mitigate.Decision{}, 0, nil)
-				}
-				if labels != nil {
-					if d.Req.Seq >= uint64(len(labels)) {
-						return fmt.Errorf("label sidecar shorter than log (request %d)", d.Req.Seq)
-					}
-					malicious := labels[d.Req.Seq].Malicious()
-					for j := range d.Verdicts {
-						agg.confs[j].Add(d.Verdicts[j].Alert, malicious)
-					}
-				}
-				agg.total++
-				if *maxEvents > 0 && processed.Add(1) >= *maxEvents {
-					if follower != nil {
-						follower.Stop()
-					}
-					return errMaxEvents
-				}
-				return nil
-			}
-		}
-		err = pipe.RunRelaxed(context.Background(), src, sinks)
-		if errors.Is(err, errMaxEvents) {
-			err = nil
+	for {
+		if pmode == pipeline.ShardedRelaxed {
+			err = pipe.RunRelaxed(context.Background(), seg.next, pipeSinks)
+		} else {
+			err = pipe.Run(context.Background(), seg.next, pipeSinks[0])
 		}
 		if err != nil {
 			return err
 		}
-		for i := range aggs {
-			agree.merge(aggs[i].agree)
-			for j := range confs {
-				confs[j].Merge(aggs[i].confs[j])
-			}
-			total += aggs[i].total
-		}
-	} else {
-		for {
-			err = pipe.Run(context.Background(), src, sink)
-			switch {
-			case errors.Is(err, errCheckpointDue):
-				// A failed periodic checkpoint degrades durability, not
-				// detection: the run continues on the previous generations and
-				// the watchdog flags the process degraded until a save lands.
-				if err := saveStateTo(ckSaver, pipe, engine); err != nil {
-					fmt.Fprintf(os.Stderr, "scrapedetect: periodic checkpoint failed (state plane degraded, will retry): %v\n", err)
-				} else {
-					checkpoints++
-					live.checkpoints.Inc()
-				}
-				wd.poll()
-				continue
-			case errors.Is(err, errMaxEvents):
-				err = nil
-			}
-			if err != nil {
-				return err
-			}
+		if !seg.due {
 			break
 		}
+		seg.due = false
+		// A failed periodic checkpoint degrades durability, not detection:
+		// the run continues on the previous generations and the watchdog
+		// flags the process degraded until a save lands.
+		if err := saveStateTo(ckSaver, pipe, engines); err != nil {
+			fmt.Fprintf(os.Stderr, "scrapedetect: periodic checkpoint failed (state plane degraded, will retry): %v\n", err)
+		} else {
+			checkpoints++
+			live.checkpoints.Inc()
+		}
+		wd.poll()
 	}
-	if verdictOut != nil {
-		if err := verdictOut.Flush(); err != nil {
+	if env.verdictOut != nil {
+		if err := env.verdictOut.Flush(); err != nil {
 			return err
 		}
 	}
@@ -954,7 +762,7 @@ func run(w io.Writer, args []string) error {
 	// run continues and retries later), an exit without durable state is
 	// exactly what -checkpoint/-save-state exist to prevent.
 	if ckSaver != nil {
-		if err := saveStateTo(ckSaver, pipe, engine); err != nil {
+		if err := saveStateTo(ckSaver, pipe, engines); err != nil {
 			return err
 		}
 		checkpoints++
@@ -965,23 +773,32 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := saveStateTo(finalSaver, pipe, engine); err != nil {
+		if err := saveStateTo(finalSaver, pipe, engines); err != nil {
 			return err
 		}
 	}
 	elapsed := time.Since(started)
+
+	// Every tally is an order-free count, so the shards' sum equals what
+	// one sequential sink would have counted.
+	sum := shardSink{agree: newAlertAgreement(len(dets)), confs: make([]evaluate.Confusion, len(dets))}
+	for _, sk := range sinks {
+		sum.agree.merge(sk.agree)
+		for j := range sum.confs {
+			sum.confs[j].Merge(sk.confs[j])
+		}
+		sum.total += sk.total
+		sum.tagged += sk.tagged
+		sum.passed += sk.passed
+	}
+	total := sum.total
 
 	fmt.Fprintf(w, "analysed %s requests in %v (%.0f req/s, mode=%s, shards=%d)\n\n",
 		report.Count(total), elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds(), modeNameOf(pmode), shards)
 	if *follow {
 		fs := follower.Stats()
-		sweeps, evicted := pipe.EvictionStats()
-		if sweeper != nil {
-			s2, e2 := sweeper.Stats()
-			sweeps += s2
-			evicted += e2
-		}
+		sweeps, evicted := live.evictionStats()
 		fmt.Fprintf(w, "follow: rotations=%d truncations=%d skipped=%d sweeps=%d evicted=%d checkpoints=%d\n\n",
 			fs.Rotations, fs.Truncations, fs.Skipped, sweeps, evicted, checkpoints)
 	}
@@ -995,6 +812,7 @@ func run(w io.Writer, args []string) error {
 	if len(dets) == 2 {
 		allLabel, noneLabel = "Both tools", "Neither"
 	}
+	agree := sum.agree
 	t.AddRow(allLabel, report.Count(agree.all), report.Percent(agree.all, total))
 	t.AddRow(noneLabel, report.Count(agree.none), report.Percent(agree.none, total))
 	for i, name := range detNames {
@@ -1004,8 +822,8 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	if engine != nil {
-		counts := engine.Counts()
+	if engines != nil {
+		counts := engines.counts()
 		denom := counts.Total()
 		fmt.Fprintln(w)
 		mt := &report.Table{
@@ -1017,14 +835,15 @@ func run(w io.Writer, args []string) error {
 		mt.AddRow("Tarpit", report.Count(counts.Tarpitted), report.Percent(counts.Tarpitted, denom))
 		mt.AddRow("Challenge", report.Count(counts.Challenged), report.Percent(counts.Challenged, denom))
 		mt.AddRow("Block", report.Count(counts.Blocked), report.Percent(counts.Blocked, denom))
-		mt.AddRow("Tagged", report.Count(tagged), report.Percent(tagged, denom))
-		mt.AddRow("Challenges passed", report.Count(passed), "")
+		mt.AddRow("Tagged", report.Count(sum.tagged), report.Percent(sum.tagged, denom))
+		mt.AddRow("Challenges passed", report.Count(sum.passed), "")
 		if err := mt.Render(w); err != nil {
 			return err
 		}
 	}
 
 	if labels != nil {
+		confs := sum.confs
 		fmt.Fprintln(w)
 		m := &report.Table{
 			Title:   "Labelled metrics",
@@ -1056,4 +875,144 @@ func run(w io.Writer, args []string) error {
 		printExplain(w, tracer.Recorder().Explain(*explainClient))
 	}
 	return nil
+}
+
+// sinkEnv is what every shard's sink shares: the run's configuration and
+// the concurrency-safe planes (live metrics, the flight recorder). The
+// verdict CSV and explainers are only set in sequential mode.
+type sinkEnv struct {
+	live          *liveMetrics
+	tracer        *trace.Tracer
+	detNames      []string
+	explainers    []detector.Explainer
+	verdictOut    *alertlog.Writer
+	labels        []detector.Label
+	confirmVotes  int
+	challengeFlow bool
+}
+
+// shardSink is one shard's decision consumer and its share of the run's
+// state: the alert-agreement table, labelled confusions and counts, the
+// shard's ladder engine and its event-time sweeper. Only the shard's own
+// goroutine touches it during a run.
+type shardSink struct {
+	env     *sinkEnv
+	engine  *engineShard    // nil without -mitigate
+	sweeper *stream.Sweeper // nil without -mitigate or -window
+	agree   *alertAgreement
+	confs   []evaluate.Confusion
+	total   uint64
+	tagged  uint64
+	passed  uint64
+}
+
+// decide is the shard's pipeline.Sink.
+func (s *shardSink) decide(d pipeline.Decision) error {
+	env := s.env
+	votes := s.agree.add(d.Verdicts)
+	env.live.events.Inc()
+	for i := range d.Verdicts {
+		if d.Verdicts[i].Alert {
+			env.live.alerts[i].Inc()
+		}
+	}
+	if s.sweeper != nil {
+		s.sweeper.Observe(d.Req.Entry.Time)
+	}
+	var dec mitigate.Decision
+	var rungBefore mitigate.Action
+	judged := false
+	if s.engine != nil {
+		// The cluster plane reaches the engine from HTTP goroutines; the
+		// sink's accesses serialise on the same per-shard lock.
+		s.engine.mu.Lock()
+		engine := s.engine.engine
+		e := &d.Req.Entry
+		// The challenge flow itself is exempt, mirroring httpguard and
+		// the closed-loop experiments: script fetches never count
+		// against the client, beacons mark the challenge solved.
+		switch {
+		case env.challengeFlow && e.Path == sitemodel.ChallengeScriptPath:
+		case env.challengeFlow && e.Path == sitemodel.ChallengeVerifyPath && e.Method == "POST":
+			engine.ChallengePassed(e.RemoteAddr, e.Time)
+			s.passed++
+		default:
+			if env.tracer != nil {
+				rungBefore = engine.Level(e.RemoteAddr)
+			}
+			ts := env.tracer.Now()
+			var scoreSum float64
+			for i := range d.Verdicts {
+				scoreSum += d.Verdicts[i].Score
+			}
+			dec = engine.Apply(e.RemoteAddr, e.Time, mitigate.Assessment{
+				Alerted:   votes > 0,
+				Confirmed: votes >= env.confirmVotes,
+				Score:     scoreSum / float64(len(d.Verdicts)),
+			})
+			env.tracer.Lap(trace.StageEnsemble, ts)
+			judged = true
+			if dec.Tagged {
+				s.tagged++
+				env.live.tagged.Inc()
+			}
+		}
+		s.engine.mu.Unlock()
+	}
+	if env.tracer != nil {
+		captureDecision(env.tracer, env.detNames, &d, judged, dec, rungBefore, env.explainers)
+	}
+	if env.verdictOut != nil {
+		if err := env.verdictOut.WriteAt(d.Req.Seq, d.Verdicts); err != nil {
+			return err
+		}
+	}
+	if env.labels != nil {
+		if d.Req.Seq >= uint64(len(env.labels)) {
+			return fmt.Errorf("label sidecar shorter than log (request %d)", d.Req.Seq)
+		}
+		malicious := env.labels[d.Req.Seq].Malicious()
+		for i := range d.Verdicts {
+			s.confs[i].Add(d.Verdicts[i].Alert, malicious)
+		}
+	}
+	s.total++
+	return nil
+}
+
+// segmenter wraps the entry source with the run loop's bookkeeping, so
+// both modes share it and every bound is exact: it polls the watchdog
+// every watchdogEvery entries, ends the stream after max entries, and
+// ends a segment every `every` entries, setting due so the caller can
+// checkpoint the drained pipeline and run on from the same source.
+type segmenter struct {
+	src   pipeline.EntrySource
+	max   uint64 // 0 = unbounded
+	every uint64 // 0 = no checkpoint segments
+	poll  func()
+
+	pulled uint64
+	inSeg  uint64
+	due    bool
+}
+
+func (s *segmenter) next() (logfmt.Entry, error) {
+	if s.max > 0 && s.pulled >= s.max {
+		return logfmt.Entry{}, io.EOF
+	}
+	if s.every > 0 && s.inSeg >= s.every {
+		s.inSeg = 0
+		s.due = true
+		return logfmt.Entry{}, io.EOF
+	}
+	e, err := s.src()
+	if err != nil {
+		return e, err
+	}
+	s.pulled++
+	s.inSeg++
+	if s.pulled%watchdogEvery == 0 {
+		s.poll()
+	}
+	return e, nil
 }

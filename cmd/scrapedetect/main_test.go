@@ -41,11 +41,10 @@ func TestRunEndToEnd(t *testing.T) {
 	logPath, labelPath := writeDataset(t, dir)
 	outPath := filepath.Join(dir, "verdicts.csv")
 
-	for _, mode := range []string{"seq", "conc"} {
+	for _, args := range [][]string{{"-mode", "relaxed", "-parallel", "3"}, {"-mode", "seq", "-out", outPath}} {
+		mode := args[1]
 		var sb strings.Builder
-		err := run(&sb, []string{
-			"-log", logPath, "-labels", labelPath, "-mode", mode, "-out", outPath,
-		})
+		err := run(&sb, append([]string{"-log", logPath, "-labels", labelPath}, args...))
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -75,7 +74,7 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// The -parallel flag selects the sharded pipeline; every table it prints
+// The -parallel flag selects the relaxed pipeline; every table it prints
 // must match the sequential run exactly, only the summary header differs.
 func TestRunParallelFlag(t *testing.T) {
 	dir := t.TempDir()
@@ -93,7 +92,7 @@ func TestRunParallelFlag(t *testing.T) {
 	if err := run(&shard, []string{"-log", logPath, "-labels", labelPath, "-parallel", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(shard.String(), "mode=shard, shards=3") {
+	if !strings.Contains(shard.String(), "mode=relaxed, shards=3") {
 		t.Errorf("-parallel 3 summary missing shard count:\n%s", firstLine(shard.String()))
 	}
 
@@ -116,6 +115,23 @@ func firstLine(s string) string {
 }
 
 // tablesOf strips the run-dependent timing header, keeping the tables.
+// -max-events bounds the source, not the shards' sinks, so a relaxed run
+// analyses exactly N requests however the shards interleave.
+func TestRunMaxEventsExactUnderRelaxed(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		var sb strings.Builder
+		err := run(&sb, []string{
+			"-log", "testdata/access.log", "-mode", "relaxed", "-parallel", "8", "-max-events", "1000",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(sb.String(), "analysed 1,000 requests") {
+			t.Fatalf("run %d: %s", i, firstLine(sb.String()))
+		}
+	}
+}
+
 func tablesOf(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
 		return s[i+1:]
@@ -208,18 +224,23 @@ func TestRunErrors(t *testing.T) {
 		t.Error("truncated label sidecar accepted")
 	}
 
-	// Relaxed mode refuses every output that depends on a single in-order
-	// decision stream, and the truncated sidecar is caught there too.
+	// A parallel run refuses the outputs that record one total decision
+	// order, whether relaxed was asked for by -mode or by -parallel, and
+	// the error names the mode that serves them; the truncated sidecar is
+	// caught in relaxed mode too.
 	for _, extra := range [][]string{
-		{"-mitigate", "graduated"},
 		{"-out", filepath.Join(dir, "v.csv")},
 		{"-trace-out", filepath.Join(dir, "t.jsonl")},
 		{"-explain", "10.0.0.1"},
-		{"-checkpoint", filepath.Join(dir, "ck.bin")},
 	} {
-		args := append([]string{"-log", logPath, "-mode", "relaxed"}, extra...)
-		if err := run(&sb, args); err == nil {
-			t.Errorf("relaxed mode accepted %v", extra)
+		for _, par := range [][]string{{"-mode", "relaxed"}, {"-parallel", "4"}} {
+			args := append(append([]string{"-log", logPath}, par...), extra...)
+			err := run(&sb, args)
+			if err == nil {
+				t.Errorf("%v accepted %v", par, extra)
+			} else if !strings.Contains(err.Error(), "-mode seq") {
+				t.Errorf("%v %v: error %q does not name -mode seq", par, extra, err)
+			}
 		}
 	}
 	if err := run(&sb, []string{"-log", logPath, "-mode", "relaxed", "-labels", short}); err == nil {
@@ -275,10 +296,9 @@ func TestRunDetectorsFlag(t *testing.T) {
 		t.Errorf("verdict header = %q, want %q", header, want)
 	}
 
-	// Sharded and relaxed runs must print the identical tables (headers
-	// aside): every aggregate is an order-free count. The baseline is a
-	// plain sequential run — mitigation and the CSV are ordered-only
-	// extras the parallel modes don't print.
+	// A relaxed run must print the identical tables (headers aside):
+	// every aggregate is an order-free count, and each shard's ladder
+	// engine sees its clients in their own order.
 	tablesOf := func(s string) string {
 		i := strings.Index(s, "Alert diversity")
 		if i < 0 {
@@ -286,27 +306,17 @@ func TestRunDetectorsFlag(t *testing.T) {
 		}
 		return s[i:]
 	}
-	var plain strings.Builder
-	err = run(&plain, []string{
+	var relaxed strings.Builder
+	err = run(&relaxed, []string{
 		"-log", logPath, "-labels", labelPath,
-		"-detectors", "sentinel,arcane,trajectory", "-mode", "seq",
+		"-detectors", "sentinel,arcane,trajectory",
+		"-mode", "relaxed", "-parallel", "3", "-mitigate", "graduated",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"shard", "relaxed"} {
-		var sb strings.Builder
-		err := run(&sb, []string{
-			"-log", logPath, "-labels", labelPath,
-			"-detectors", "sentinel,arcane,trajectory",
-			"-mode", mode, "-parallel", "3",
-		})
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		if got, want := tablesOf(sb.String()), tablesOf(plain.String()); got != want {
-			t.Errorf("mode %s tables differ from sequential:\n got:\n%s\n want:\n%s", mode, got, want)
-		}
+	if got, want := tablesOf(relaxed.String()), tablesOf(out); got != want {
+		t.Errorf("relaxed tables differ from sequential:\n got:\n%s\n want:\n%s", got, want)
 	}
 
 	var sb strings.Builder

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"divscrape/internal/checkpoint"
 )
 
 // splitLog writes the first k lines of src to head and the rest to tail.
@@ -31,10 +34,11 @@ func splitLog(t *testing.T, src string, k int, head, tail string) int {
 }
 
 // TestSaveLoadStateSmoke is the CLI's stop-at-k proof: replaying a log in
-// two halves with -save-state / -load-state between the processes yields
-// the same verdict CSV as one uninterrupted run — including when the
+// two halves with -save-state / -load-state between the processes ends in
+// the same state file as one uninterrupted run — including when the
 // resumed half runs at a different shard count, since the state file is
-// topology-independent.
+// topology-independent — and, for sequential runs, writes the same
+// verdict CSV.
 func TestSaveLoadStateSmoke(t *testing.T) {
 	dir := t.TempDir()
 	logPath, _ := writeDataset(t, dir)
@@ -60,9 +64,18 @@ func TestSaveLoadStateSmoke(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fullCSV := filepath.Join(dir, tc.name+"-full.csv")
+			// The verdict CSV needs one total order, so only sequential
+			// runs write it; every run writes its final state.
+			sequential := tc.fullArgs[1] == "0"
+			outArgs := func(name string) []string {
+				args := []string{"-save-state", filepath.Join(dir, tc.name+"-"+name+".state")}
+				if sequential {
+					args = append(args, "-out", filepath.Join(dir, tc.name+"-"+name+".csv"))
+				}
+				return args
+			}
 			var full strings.Builder
-			if err := run(&full, append([]string{"-log", logPath, "-out", fullCSV}, tc.fullArgs...)); err != nil {
+			if err := run(&full, append(append([]string{"-log", logPath}, outArgs("full")...), tc.fullArgs...)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -73,20 +86,26 @@ func TestSaveLoadStateSmoke(t *testing.T) {
 			k := strings.Count(string(data), "\n") / 2
 			splitLog(t, logPath, k, headLog, tailLog)
 
-			state := filepath.Join(dir, tc.name+".state")
-			headCSV := filepath.Join(dir, tc.name+"-head.csv")
-			tailCSV := filepath.Join(dir, tc.name+"-tail.csv")
+			state := filepath.Join(dir, tc.name+"-head.state")
 			var head, tail strings.Builder
-			if err := run(&head, append([]string{"-log", headLog, "-out", headCSV, "-save-state", state}, tc.headArgs...)); err != nil {
+			if err := run(&head, append(append([]string{"-log", headLog}, outArgs("head")...), tc.headArgs...)); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(&tail, append([]string{"-log", tailLog, "-out", tailCSV, "-load-state", state}, tc.tailArgs...)); err != nil {
+			if err := run(&tail, append(append([]string{"-log", tailLog, "-load-state", state}, outArgs("tail")...), tc.tailArgs...)); err != nil {
 				t.Fatal(err)
 			}
 
-			fullOut := readFileT(t, fullCSV)
-			headOut := readFileT(t, headCSV)
-			tailOut := readFileT(t, tailCSV)
+			fullState := readFileT(t, filepath.Join(dir, tc.name+"-full.state"))
+			if tailState := readFileT(t, filepath.Join(dir, tc.name+"-tail.state")); tailState != fullState {
+				t.Fatalf("stop-at-%d + resume ends in a different state than the uninterrupted run (%d vs %d bytes)",
+					k, len(tailState), len(fullState))
+			}
+			if !sequential {
+				return
+			}
+			fullOut := readFileT(t, filepath.Join(dir, tc.name+"-full.csv"))
+			headOut := readFileT(t, filepath.Join(dir, tc.name+"-head.csv"))
+			tailOut := readFileT(t, filepath.Join(dir, tc.name+"-tail.csv"))
 			// Each CSV opens with one header line; drop the resumed half's
 			// when stitching.
 			_, tailBody, ok := strings.Cut(tailOut, "\n")
@@ -130,6 +149,70 @@ func TestLoadStateMitigatePresenceMismatch(t *testing.T) {
 	}
 	if err := run(&sb, []string{"-log", logPath, "-load-state", withEngine}); err == nil {
 		t.Error("corrupt state file accepted")
+	}
+}
+
+// TestSaveStateBytesTopologyIndependent: with the graduated ladder on,
+// a sequential run and a relaxed run write byte-identical state files —
+// the detectors' checkpoint and the per-shard engines' merged snapshot
+// are both canonical, and every client's ladder saw its own requests in
+// its own order.
+func TestSaveStateBytesTopologyIndependent(t *testing.T) {
+	dir := t.TempDir()
+	var states [][]byte
+	for _, args := range [][]string{
+		{"-mode", "seq"},
+		{"-mode", "relaxed", "-parallel", "3"},
+	} {
+		state := filepath.Join(dir, args[1]+".state")
+		var sb strings.Builder
+		err := run(&sb, append([]string{
+			"-log", "testdata/access.log", "-mitigate", "graduated", "-save-state", state,
+		}, args...))
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		states = append(states, []byte(readFileT(t, state)))
+	}
+	if !bytes.Equal(states[0], states[1]) {
+		t.Fatalf("relaxed state file differs from sequential (%d vs %d bytes)", len(states[1]), len(states[0]))
+	}
+}
+
+// TestRelaxedPeriodicCheckpoint: a relaxed run with the ladder on takes
+// periodic checkpoints — each one ends the run at a segment boundary,
+// drains every shard and continues from the same source — and every
+// generation holds exactly the state a sequential run over the same
+// prefix of the log saves.
+func TestRelaxedPeriodicCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	const every = 500
+	ckpt := filepath.Join(dir, "relaxed.ckpt")
+	var sb strings.Builder
+	err := run(&sb, []string{
+		"-log", "testdata/access.log", "-mitigate", "graduated",
+		"-mode", "relaxed", "-parallel", "3",
+		"-checkpoint", ckpt, "-checkpoint-every", "500", "-checkpoint-retain", "2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Generation 0 is the final save over the whole log; generation 1 is
+	// the last periodic checkpoint, taken after the last full segment.
+	lines := countLines(t, "testdata/access.log")
+	head := filepath.Join(dir, "head.log")
+	splitLog(t, "testdata/access.log", lines/every*every, head, filepath.Join(dir, "tail.log"))
+	for gen, log := range []string{"testdata/access.log", head} {
+		want := filepath.Join(dir, "seq.state")
+		if err := run(&sb, []string{
+			"-log", log, "-mitigate", "graduated", "-mode", "seq", "-save-state", want,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := readFileT(t, checkpoint.GenPath(ckpt, gen)); got != readFileT(t, want) {
+			t.Errorf("checkpoint generation %d differs from the sequential state over %s", gen, log)
+		}
 	}
 }
 

@@ -126,15 +126,15 @@ func TestRunExplain(t *testing.T) {
 }
 
 // -explain without the sequential pipeline would serve feature-less
-// timelines; the CLI refuses the degraded form.
+// timelines in no single order; the CLI refuses the degraded form.
 func TestRunExplainRequiresSequential(t *testing.T) {
 	dir := t.TempDir()
 	logPath, _ := writeDataset(t, dir)
 	var sb strings.Builder
-	if err := run(&sb, []string{"-log", logPath, "-mode", "conc", "-explain", "10.0.0.1"}); err == nil {
-		t.Error("-explain accepted with the concurrent pipeline")
+	if err := run(&sb, []string{"-log", logPath, "-mode", "relaxed", "-explain", "10.0.0.1"}); err == nil {
+		t.Error("-explain accepted with -mode relaxed")
 	}
 	if err := run(&sb, []string{"-log", logPath, "-parallel", "4", "-explain", "10.0.0.1"}); err == nil {
-		t.Error("-explain accepted with the sharded pipeline")
+		t.Error("-explain accepted with -parallel 4")
 	}
 }

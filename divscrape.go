@@ -27,23 +27,20 @@
 // Multi-core quickstart (sharded; same results, higher throughput):
 //
 //	gen, _ := divscrape.NewGenerator(divscrape.GeneratorConfig{Seed: 1, Duration: 6 * time.Hour})
-//	summary, _ := divscrape.AnalyzeSharded(gen, 0) // 0 → GOMAXPROCS shards
+//	summary, _ := divscrape.AnalyzeShardedRelaxed(gen, 0) // 0 → GOMAXPROCS shards
 //
-// The detection pipeline offers four execution modes. Sequential runs on
-// one goroutine and is the reference; pick it for debugging and
-// single-core replays. Concurrent gives each detector its own goroutine;
-// it is kept as a model of the paper's deployment shape, not a
-// throughput choice. Sharded partitions traffic by client IP across
-// GOMAXPROCS worker shards with private detector instances and restores
-// stream order on output — byte-identical to Sequential. ShardedRelaxed
-// drops that final reorder: shards deliver independently, preserving
-// per-client order and the whole-stream verdict multiset but not the
-// cross-client interleaving — the highest-throughput mode, and every
-// aggregate the paper reports is order-free, so AnalyzeShardedRelaxed
-// still reproduces Analyze's tables exactly. Because all per-client
-// state follows the client onto one shard, every mode judges every
-// request identically — the modes trade delivery-order guarantees for
-// throughput, never accuracy.
+// The detection pipeline has two execution modes. Sequential runs on one
+// goroutine and is the reference; pick it for debugging, single-core
+// replays and outputs that need one total order. ShardedRelaxed
+// partitions traffic by client IP across worker shards with private
+// detector instances, and each shard delivers its decisions
+// independently: per-client order and the whole-stream verdict multiset
+// are preserved, the cross-client interleaving is not. Every aggregate
+// the paper reports is an order-free count, so the AnalyzeShardedRelaxed
+// entry points reproduce Analyze's tables exactly. Because all
+// per-client state follows the client onto one shard, both modes judge
+// every request identically — they trade delivery order for throughput,
+// never accuracy.
 package divscrape
 
 import (
@@ -638,88 +635,8 @@ func DefaultFactories() []Factory {
 	return fs
 }
 
-// newShardedPipeline builds the named detectors as a sharded pipeline.
-func newShardedPipeline(shards int, names []string) (*pipeline.Pipeline, error) {
-	factories, err := FactoriesFor(names...)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.New(pipeline.Config{
-		Factories:  factories,
-		Reputation: iprep.BuildFeed(),
-		Mode:       pipeline.Sharded,
-		Shards:     shards,
-	})
-}
-
-// AnalyzeShardedSet is AnalyzeSet on the sharded pipeline: the generated
-// stream is partitioned by client IP across shards (0 selects
-// GOMAXPROCS), each with private instances of the named detectors (none
-// selects DefaultDetectors), and merged back into stream order — the
-// summary is identical to AnalyzeSet's, only faster on multi-core hosts.
-// The events are materialised first so ground-truth labels can be joined
-// back by sequence number.
-func AnalyzeShardedSet(gen *Generator, shards int, names ...string) (*Summary, error) {
-	events, err := gen.Generate()
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze sharded: generate: %w", err)
-	}
-	pipe, err := newShardedPipeline(shards, names)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze sharded: %w", err)
-	}
-	s := newSummary(pipe.Detectors(), true)
-	i := 0
-	src := func() (Entry, error) {
-		if i >= len(events) {
-			return Entry{}, io.EOF
-		}
-		e := events[i].Entry
-		i++
-		return e, nil
-	}
-	err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
-		s.record(d.Verdicts, events[d.Req.Seq].Label.Malicious())
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze sharded: %w", err)
-	}
-	return s, nil
-}
-
-// AnalyzeSharded is AnalyzeShardedSet on the paper's pair.
-func AnalyzeSharded(gen *Generator, shards int) (*Summary, error) {
-	return AnalyzeShardedSet(gen, shards)
-}
-
-// AnalyzeLogShardedSet is AnalyzeLogSet on the sharded pipeline (0 shards
-// selects GOMAXPROCS, no names selects DefaultDetectors). Malformed
-// lines are skipped; the contingency table is identical to
-// AnalyzeLogSet's.
-func AnalyzeLogShardedSet(r io.Reader, shards int, names ...string) (*Summary, error) {
-	pipe, err := newShardedPipeline(shards, names)
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze log sharded: %w", err)
-	}
-	s := newSummary(pipe.Detectors(), false)
-	err = pipe.RunReader(context.Background(), r, logfmt.Skip, func(d pipeline.Decision) error {
-		s.record(d.Verdicts, false)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("divscrape: analyze log sharded: %w", err)
-	}
-	return s, nil
-}
-
-// AnalyzeLogSharded is AnalyzeLogShardedSet on the paper's pair.
-func AnalyzeLogSharded(r io.Reader, shards int) (*Summary, error) {
-	return AnalyzeLogShardedSet(r, shards)
-}
-
-// newRelaxedPipeline builds the named detectors as a relaxed sharded
-// pipeline: per-client total order, no global merge.
+// newRelaxedPipeline builds the named detectors as a ShardedRelaxed
+// pipeline.
 func newRelaxedPipeline(shards int, names []string) (*pipeline.Pipeline, error) {
 	factories, err := FactoriesFor(names...)
 	if err != nil {
@@ -733,14 +650,16 @@ func newRelaxedPipeline(shards int, names []string) (*pipeline.Pipeline, error) 
 	})
 }
 
-// AnalyzeShardedRelaxedSet is AnalyzeShardedSet without the stream-order
-// merge: shards drain into private partial summaries that are folded
-// together at the end. Every accumulated quantity is a commutative count
-// keyed by the event's sequence number, so the summary is identical to
-// AnalyzeSet's and AnalyzeShardedSet's — relaxing delivery order trades
-// away only the cross-client interleaving, which no table depends on.
-// This is the highest-throughput analysis entry point on multi-core
-// hosts.
+// AnalyzeShardedRelaxedSet is AnalyzeSet on the sharded pipeline: the
+// generated stream is partitioned by client IP across shards (0 selects
+// GOMAXPROCS), each with private instances of the named detectors (none
+// selects DefaultDetectors), and shards drain into private partial
+// summaries that are folded together at the end. Every accumulated
+// quantity is a commutative count keyed by the event's sequence number,
+// so the summary is identical to AnalyzeSet's — relaxing delivery order
+// trades away only the cross-client interleaving, which no table depends
+// on. The events are materialised first so ground-truth labels can be
+// joined back by sequence number.
 func AnalyzeShardedRelaxedSet(gen *Generator, shards int, names ...string) (*Summary, error) {
 	events, err := gen.Generate()
 	if err != nil {

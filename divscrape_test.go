@@ -88,65 +88,6 @@ func TestAnalyzeLogMatchesInMemory(t *testing.T) {
 	}
 }
 
-// The sharded facade entry points must agree exactly with the sequential
-// ones: same contingency, same confusion matrices.
-func TestAnalyzeShardedMatchesSequential(t *testing.T) {
-	cfg := divscrape.GeneratorConfig{Seed: 29, Duration: 2 * time.Hour}
-
-	genA, err := divscrape.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := divscrape.NewDetectorPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := divscrape.Analyze(genA, pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	genB, err := divscrape.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := divscrape.AnalyzeSharded(genB, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if sharded.Total != seq.Total {
-		t.Fatalf("totals differ: sharded %d, sequential %d", sharded.Total, seq.Total)
-	}
-	if sharded.Contingency != seq.Contingency {
-		t.Errorf("contingency differs:\n sharded:    %+v\n sequential: %+v",
-			sharded.Contingency, seq.Contingency)
-	}
-	if sharded.Commercial() != seq.Commercial() || sharded.Behavioural() != seq.Behavioural() {
-		t.Error("labelled confusion matrices differ between modes")
-	}
-	if !sharded.Labelled {
-		t.Error("generator runs carry labels")
-	}
-
-	// Log replay through the sharded pipeline must also agree.
-	genC, err := divscrape.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logBuf, labelBuf bytes.Buffer
-	if _, err := divscrape.WriteDataset(genC, &logBuf, &labelBuf); err != nil {
-		t.Fatal(err)
-	}
-	fromLog, err := divscrape.AnalyzeLogSharded(&logBuf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromLog.Total != seq.Total || fromLog.Contingency != seq.Contingency {
-		t.Errorf("sharded log replay differs: %+v vs %+v", fromLog.Contingency, seq.Contingency)
-	}
-}
-
 // The relaxed facade entry points must reproduce the sequential tables
 // exactly: every aggregate is a commutative count, so dropping the
 // cross-client delivery order changes nothing. This is the facade-level

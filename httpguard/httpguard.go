@@ -20,11 +20,10 @@
 // are single-threaded by design (per-client state machines), so the guard
 // partitions traffic by client IP across Config.Shards internal shards,
 // each with its own detector pair, enricher, mitigation engine and mutex —
-// the same key-partitioning the offline pipeline's Sharded and
-// ShardedRelaxed modes use. A client's requests always hash to the same
-// shard, so per-client detection and enforcement state is exactly what a
-// single serialised pair would hold, while unrelated clients no longer
-// contend on one lock. Note the guard's topology is the relaxed one:
+// the same key-partitioning the offline pipeline's ShardedRelaxed mode
+// uses. A client's requests always hash to the same shard, so per-client
+// detection and enforcement state is exactly what a single serialised
+// pair would hold, while unrelated clients no longer contend on one lock. Note the guard's topology is the relaxed one:
 // responses leave in whatever order shards finish, stats, tracing and
 // eviction are shard-local, and nothing ever merges the streams back
 // into arrival order — pipeline.ShardedRelaxed is this deployment shape
@@ -470,15 +469,15 @@ func (g *Guard) StatsDetail() GuardStats {
 	return out
 }
 
-// shardIndex hashes a client's numeric address onto a shard with FNV-1a
-// — the same partition rule the offline pipeline's Sharded mode uses —
-// so one client's state always lives behind one lock, and resharding can
-// recompute every client's home from its session key alone. Addresses
-// that do not parse as IPv4 collapse to 0, exactly as enrichment does,
-// keeping routing and session keying consistent. The caller must hold
-// g.mu.
+// shardIndex hashes a client's numeric address onto a shard with
+// fnvhash.Shard — the partition rule the offline pipeline's
+// ShardedRelaxed mode uses — so one client's state always lives behind
+// one lock, and resharding can recompute every client's home from its
+// session key alone. Addresses that do not parse as IPv4 collapse to 0,
+// exactly as enrichment does, keeping routing and session keying
+// consistent. The caller must hold g.mu.
 func (g *Guard) shardIndex(ip uint32, shards int) int {
-	return int(fnvhash.IP32(ip) % uint32(shards))
+	return fnvhash.Shard(ip, shards)
 }
 
 // challengeBody is the interstitial served in place of content at the

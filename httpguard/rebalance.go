@@ -194,7 +194,7 @@ func restoreShards(r *statecodec.Reader, shards []*guardShard, n int, withTraj b
 	if err := r.Err(); err != nil {
 		return err
 	}
-	part := func(ip uint32) int { return int(fnvhash.IP32(ip) % uint32(n)) }
+	part := func(ip uint32) int { return fnvhash.Shard(ip, n) }
 	sens := make([]detector.Detector, len(shards))
 	arcs := make([]detector.Detector, len(shards))
 	engines := make([]*mitigate.Engine, len(shards))
@@ -222,11 +222,7 @@ func restoreShards(r *statecodec.Reader, shards []*guardShard, n int, withTraj b
 	// parsing it back to the numeric form enrichment produced, so a
 	// client's engine state lands on the shard its requests route to.
 	err := mitigate.RestorePartitioned(r, engines, func(key string) int {
-		ip, perr := iprep.ParseIPv4(key)
-		if perr != nil {
-			ip = 0
-		}
-		return part(ip)
+		return iprep.ShardOf(key, n)
 	})
 	if err != nil {
 		return err

@@ -110,18 +110,13 @@ type Options struct {
 	// adjudication row. Default 0.24.
 	WeightedThreshold float64
 	// Shards, when positive, runs the measurement pass through the
-	// sharded detection pipeline with that many workers instead of
-	// inspecting inline. Results are identical (the pipeline's merge
-	// restores stream order and per-client state is shard-local); only
-	// wall-clock changes.
-	Shards int
-	// Relaxed runs the pass through the ShardedRelaxed pipeline — no
-	// stream-order merge; shards deliver independently and a mutex
+	// ShardedRelaxed detection pipeline with that many workers instead of
+	// inspecting inline: shards deliver independently and a mutex
 	// serialises the accumulators. Every accumulator is a commutative
-	// per-request add keyed by the event's sequence number, so the tables
-	// are still identical to the inline pass. Implies a sharded pass;
-	// Shards 0 selects GOMAXPROCS.
-	Relaxed bool
+	// per-request add keyed by the event's sequence number, and
+	// per-client state is shard-local, so the tables are identical to the
+	// inline pass; only wall-clock changes.
+	Shards int
 }
 
 // Execute runs the full single-pass measurement at the given scale.
@@ -169,7 +164,7 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 		run.ROCB.Add(vb.Score, malicious)
 	}
 
-	if opts.Shards > 0 || opts.Relaxed {
+	if opts.Shards > 0 {
 		return executeSharded(gen, run, opts, accumulate)
 	}
 
@@ -198,19 +193,14 @@ func ExecuteOpts(scale Scale, opts Options) (*Run, error) {
 
 // executeSharded runs the measurement pass through the key-partitioned
 // pipeline. Events are materialised so labels can be joined back by the
-// enricher's sequence number — after the order-restoring merge in
-// Sharded mode, or straight off each shard in Relaxed mode (where a
-// mutex serialises the accumulators; the joined-by-sequence adds are
-// commutative, so delivery order cannot change any table).
+// enricher's sequence number straight off each shard; a mutex serialises
+// the accumulators, and the joined-by-sequence adds are commutative, so
+// delivery order cannot change any table.
 func executeSharded(gen *workload.Generator, run *Run, opts Options,
 	accumulate func(*workload.Event, detector.Verdict, detector.Verdict)) (*Run, error) {
 	events, err := gen.Generate()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generate: %w", err)
-	}
-	mode := pipeline.Sharded
-	if opts.Relaxed {
-		mode = pipeline.ShardedRelaxed
 	}
 	pipe, err := pipeline.New(pipeline.Config{
 		Factories: []detector.Factory{
@@ -218,7 +208,7 @@ func executeSharded(gen *workload.Generator, run *Run, opts Options,
 			func() (detector.Detector, error) { return arcane.New(opts.Arcane) },
 		},
 		Reputation: iprep.BuildFeed(),
-		Mode:       mode,
+		Mode:       pipeline.ShardedRelaxed,
 		Shards:     opts.Shards,
 	})
 	if err != nil {
@@ -235,24 +225,13 @@ func executeSharded(gen *workload.Generator, run *Run, opts Options,
 		i++
 		return e, nil
 	}
-	if opts.Relaxed {
-		var mu sync.Mutex
-		sinks := make([]pipeline.Sink, pipe.Shards())
-		for s := range sinks {
-			sinks[s] = func(d pipeline.Decision) error {
-				mu.Lock()
-				accumulate(&events[d.Req.Seq], d.Verdicts[0], d.Verdicts[1])
-				mu.Unlock()
-				return nil
-			}
-		}
-		err = pipe.RunRelaxed(context.Background(), src, sinks)
-	} else {
-		err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
-			accumulate(&events[d.Req.Seq], d.Verdicts[0], d.Verdicts[1])
-			return nil
-		})
-	}
+	var mu sync.Mutex
+	err = pipe.Run(context.Background(), src, func(d pipeline.Decision) error {
+		mu.Lock()
+		accumulate(&events[d.Req.Seq], d.Verdicts[0], d.Verdicts[1])
+		mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sharded run: %w", err)
 	}

@@ -305,7 +305,7 @@ func TestExecuteRelaxedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3} {
-		relaxed, err := ExecuteOpts(BenchScale, Options{Shards: shards, Relaxed: true})
+		relaxed, err := ExecuteOpts(BenchScale, Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package fnvhash provides inline, allocation-free FNV-1a hashing. It is
 // the single home of the FNV constants so every component that partitions
 // or keys by client — session keying, pipeline sharding, the HTTP guard's
-// shard routing — folds bytes the same way.
+// shard routing — folds bytes the same way, and of Shard, the one rule
+// that maps a client to its shard.
 package fnvhash
 
 const (
@@ -51,4 +52,13 @@ func IP32(ip uint32) uint32 {
 		h *= prime32
 	}
 	return h
+}
+
+// Shard maps a numeric IPv4 address onto one of n shards (n > 0). It is
+// the partition rule every sharded component shares — the relaxed
+// pipeline, httpguard's shard routing and resharding, and per-shard
+// state restores — so one client's state lands on the same shard index
+// whichever of them placed it.
+func Shard(ip uint32, n int) int {
+	return int(IP32(ip) % uint32(n))
 }

@@ -33,6 +33,16 @@ func TestIP32FoldsLowByteFirst(t *testing.T) {
 	}
 }
 
+func TestShardIsIP32ModN(t *testing.T) {
+	for _, n := range []int{1, 3, 8} {
+		for _, ip := range []uint32{0, 1, 0x0a010203, ^uint32(0)} {
+			if got, want := Shard(ip, n), int(IP32(ip)%uint32(n)); got != want {
+				t.Errorf("Shard(%#x, %d) = %d, want %d", ip, n, got, want)
+			}
+		}
+	}
+}
+
 func TestNoAllocs(t *testing.T) {
 	s := "Mozilla/5.0 (X11; Linux x86_64)"
 	if a := testing.AllocsPerRun(100, func() { String64(s) }); a != 0 {

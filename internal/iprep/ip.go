@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"divscrape/internal/fnvhash"
 )
 
 // ParseIPv4 parses dotted-quad notation into a big-endian uint32.
@@ -112,4 +114,16 @@ func maskFor(bits int) uint32 {
 		return 0
 	}
 	return ^uint32(0) << (32 - uint(bits))
+}
+
+// ShardOf maps a client address string onto one of n shards with
+// fnvhash.Shard. An address that does not parse as IPv4 hashes as 0,
+// the numeric address enrichment gives it, so state keyed by the string
+// lands on the shard the client's requests route to.
+func ShardOf(addr string, n int) int {
+	ip, err := ParseIPv4(addr)
+	if err != nil {
+		ip = 0
+	}
+	return fnvhash.Shard(ip, n)
 }

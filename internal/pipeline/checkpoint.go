@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/fnvhash"
 	"divscrape/internal/statecodec"
 )
 
@@ -25,7 +26,7 @@ const tagPipeline uint16 = 0x5043
 
 // Checkpoint serialises the pipeline's full detection state into w. The
 // pipeline must be idle (between Run calls); every registered detector
-// must implement detector.Snapshotter — in Sharded mode,
+// must implement detector.Snapshotter — in ShardedRelaxed mode,
 // detector.ShardedSnapshotter. Checkpoint settles pending idle expiry
 // across shards (a decision-neutral operation) but otherwise leaves the
 // pipeline ready to continue.
@@ -83,11 +84,8 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 		return fmt.Errorf("%w: checkpoint has %d detectors, pipeline has %d",
 			statecodec.ErrCorrupt, got, len(roles))
 	}
-	shards := len(p.shardDets)
-	part := func(ip uint32) int { return 0 }
-	if p.cfg.Mode.shardedTopology() {
-		part = func(ip uint32) int { return shardOf(ip, shards) }
-	}
+	shards := p.Shards()
+	part := func(ip uint32) int { return fnvhash.Shard(ip, shards) }
 	for j, role := range roles {
 		name := r.String()
 		if err := r.Err(); err != nil {
@@ -120,9 +118,9 @@ func (p *Pipeline) resumeFrom(r *statecodec.Reader) error {
 
 // detectorRoles groups the pipeline's detector instances by role: one
 // slice per registered detector, holding that detector's instance on
-// every shard (a single instance outside Sharded mode).
+// every shard (a single instance in Sequential mode).
 func (p *Pipeline) detectorRoles() [][]detector.Detector {
-	if p.cfg.Mode.shardedTopology() {
+	if p.shardDets != nil {
 		nd := len(p.shardDets[0])
 		roles := make([][]detector.Detector, nd)
 		for j := 0; j < nd; j++ {

@@ -1,57 +1,40 @@
 // Package pipeline wires the detection system together as a streaming
-// dataflow: parse → enrich → detect → collect. It offers four execution
+// dataflow: parse → enrich → detect → collect. It offers two execution
 // modes:
 //
 //   - Sequential runs everything on the caller's goroutine. It is the
 //     reference implementation: byte-for-byte deterministic, zero
 //     coordination overhead, and allocation-free in steady state (one
 //     reused Request, flat feature vectors inside the detectors). Pick it
-//     for single-core replays, debugging, and as the equivalence oracle.
+//     for single-core replays, debugging, outputs that need one total
+//     order, and as the equivalence oracle.
 //
-//   - Concurrent gives each detector its own goroutine with bounded
-//     channels and zips the verdict streams back in order — mirroring how
-//     the paper's two tools monitored the same traffic independently and
-//     in parallel. Throughput is capped at the slowest single detector
-//     plus the per-request channel synchronisation, which in practice
-//     makes it slower than Sequential (~34% in the recorded benchmarks).
-//     Deprecated: kept as a faithful model of the paper's deployment
-//     shape and as a second equivalence witness; for parallel throughput
-//     use ShardedRelaxed, for parallel + total order use Sharded.
-//
-//   - Sharded partitions the enriched stream by client IP (FNV-1a) across
-//     N worker shards, each owning a private instance of every detector
-//     built from detector.Factory values. Because both detectors key all
-//     state by client (sentinel per IP, arcane per IP+User-Agent), and
-//     session expiry is decidable from a key's own touch times alone, a
-//     client's verdicts are identical whichever shard serves it — so after
-//     the order-restoring merge (keyed by the enricher's sequence number)
-//     the Decision stream is byte-identical to Sequential. Requests travel
-//     in pooled batches, so the steady-state hot path performs no
-//     allocations. The merge is a serial section: it caps throughput near
-//     Sequential's regardless of shard count, which is the price of total
-//     order.
-//
-//   - ShardedRelaxed partitions identically but removes the merge:
-//     requests stream through one bounded SPSC ring per shard
+//   - ShardedRelaxed partitions the enriched stream by client IP
+//     (fnvhash.Shard) across N worker shards, each owning a private
+//     instance of every detector built from detector.Factory values.
+//     Requests stream through one bounded SPSC ring per shard
 //     (internal/spsc) and every shard drains into its own sink on its own
-//     goroutine. Only per-client order is guaranteed — each client's
-//     decision sequence is byte-identical to Sequential, and the union of
-//     all shards' decisions is multiset-equal to the sequential stream —
-//     which is all the detectors, session stores and the mitigation
-//     ladder require. This is the mode whose throughput scales with
-//     GOMAXPROCS. See relaxed.go.
+//     goroutine. Every detector keys its state by client, and session
+//     expiry is decidable from a key's own touch times alone, so a
+//     client's verdicts are identical whichever shard serves it: each
+//     client's decision sequence is byte-identical to Sequential, and the
+//     union of all shards' decisions is multiset-equal to the sequential
+//     stream. Per-client order is all the detectors, session stores and
+//     the mitigation ladder require, and every measure the paper reports
+//     is an order-free count. This is the mode whose throughput scales
+//     with GOMAXPROCS. See relaxed.go.
 //
-// Determinism guarantee: for the same input stream, the three total-order
-// modes invoke the sink with identical Decision contents in identical
-// order; ShardedRelaxed invokes its per-shard sinks with the same
-// decisions in a per-client-preserving permutation of that order. Only
-// the internal schedule differs.
+// Determinism guarantee: for the same input stream, Sequential invokes
+// the sink with identical Decision contents in identical order on every
+// run; ShardedRelaxed invokes its per-shard sinks with the same decisions
+// in a per-client-preserving permutation of that order. Only the
+// cross-client interleaving differs.
 //
 // Pipelines are also durable: Checkpoint serialises the enricher position
 // and every detector's per-client state in a canonical, shard-agnostic
-// form, and ResumeFrom restores it into a fresh pipeline of any mode or
-// shard count, continuing the decision stream byte-identically — see
-// checkpoint.go and internal/statecodec.
+// form, and ResumeFrom restores it into a fresh pipeline of either mode
+// and any shard count, continuing the decision stream byte-identically —
+// see checkpoint.go and internal/statecodec.
 package pipeline
 
 import (
@@ -90,53 +73,36 @@ const (
 	// Sequential runs everything on the caller's goroutine; byte-for-byte
 	// deterministic and allocation-light. The default.
 	Sequential Mode = iota + 1
-	// Concurrent fans each request out to one goroutine per detector and
-	// zips the verdict streams back in order. Decision *contents* are
-	// identical to Sequential (detectors are order-preserving); only the
-	// schedule differs.
-	Concurrent
-	// Sharded partitions the stream by client IP across worker shards,
-	// each owning private detector instances built from Config.Factories,
-	// and restores stream order before the sink. Decision contents are
-	// identical to Sequential; throughput scales with Config.Shards.
-	Sharded
-	// ShardedRelaxed partitions like Sharded but drops the order-restoring
-	// merge: requests travel through one bounded SPSC ring per shard and
-	// each shard drains straight into its own sink, guaranteeing per-client
-	// order only (all any detector, session store or the mitigation ladder
-	// depends on). The whole-stream Decision multiset equals Sequential's;
-	// the interleaving across clients does not. This is the mode that
-	// removes the merge wall — see relaxed.go and RunRelaxed.
+	// ShardedRelaxed partitions the stream by client IP across worker
+	// shards, each owning private detector instances built from
+	// Config.Factories: requests travel through one bounded SPSC ring per
+	// shard and each shard drains straight into its own sink, guaranteeing
+	// per-client order only (all any detector, session store or the
+	// mitigation ladder depends on). The whole-stream Decision multiset
+	// equals Sequential's; the interleaving across clients does not. See
+	// relaxed.go and RunRelaxed.
 	ShardedRelaxed
 )
 
-// shardedTopology reports whether the mode builds per-shard detector
-// instances from factories (Sharded and ShardedRelaxed share partitioning,
-// checkpoint grouping and state-restore semantics).
-func (m Mode) shardedTopology() bool { return m == Sharded || m == ShardedRelaxed }
-
 // Config parameterises New.
 type Config struct {
-	// Detectors is the ordered detector list. Required for Sequential and
-	// Concurrent modes unless Factories is set, in which case a prototype
-	// list is built from the factories.
+	// Detectors is the ordered detector list. Required in Sequential
+	// mode unless Factories is set, in which case the list is built from
+	// the factories.
 	Detectors []detector.Detector
 	// Factories builds private detector instances per shard, in the same
-	// order as Detectors. Required for Sharded mode.
+	// order as Detectors. Required in ShardedRelaxed mode.
 	Factories []detector.Factory
 	// Reputation enriches requests with IP categories; nil disables.
 	Reputation *iprep.DB
-	// Mode selects Sequential (default), Concurrent or Sharded execution.
+	// Mode selects Sequential (default) or ShardedRelaxed execution.
 	Mode Mode
-	// Buffer is the per-stage channel depth, counted in requests.
-	// Default 256.
+	// Buffer is the per-shard ring depth in ShardedRelaxed mode, counted
+	// in requests. Default 256.
 	Buffer int
-	// Shards is the worker count in Sharded mode. Default GOMAXPROCS.
+	// Shards is the worker count in ShardedRelaxed mode. Default
+	// GOMAXPROCS.
 	Shards int
-	// Batch is the number of requests handed to a shard per channel send
-	// in Sharded mode (batching amortises channel synchronisation).
-	// Default 128.
-	Batch int
 	// EvictWindow, when positive, enables windowed eviction: as stream
 	// (event) time advances, detector state untouched for longer than the
 	// window is proactively dropped via detector.Evictable, so
@@ -151,14 +117,13 @@ type Config struct {
 	// EvictWindow/4 (at least one second).
 	EvictEvery time.Duration
 	// Trace, when non-nil, records per-stage spans (parse, enrich, one
-	// detect span per detector, merge, sink) and — in Sharded mode — the
-	// per-shard queue-depth/in-flight gauges and merge-stall counters that
-	// localise the serial merge. Tracing is observation only: the Decision
-	// stream and checkpoint bytes are identical with Trace set or nil
-	// (pinned by the tracing equivalence test), and a nil Trace costs one
-	// nil check per span point, keeping the hot path allocation-free.
+	// detect span per detector, sink) and — in ShardedRelaxed mode — the
+	// per-shard ring occupancy gauges. Tracing is observation only: the
+	// Decision stream and checkpoint bytes are identical with Trace set or
+	// nil (pinned by the tracing equivalence tests), and a nil Trace costs
+	// one nil check per span point, keeping the hot path allocation-free.
 	// Build with trace.New, passing Shards matching this config's (post-
-	// default) shard count when Mode is Sharded.
+	// default) shard count when Mode is ShardedRelaxed.
 	Trace *trace.Tracer
 }
 
@@ -169,16 +134,15 @@ type Config struct {
 type Pipeline struct {
 	cfg      Config
 	enricher *detector.Enricher
-	// shardDets holds each shard's private detector instances in Sharded
-	// mode (built once at New, so detector state persists across Run calls
-	// exactly as it does in the other modes).
+	// shardDets holds each shard's private detector instances in
+	// ShardedRelaxed mode (built once at New, so detector state persists
+	// across Run calls exactly as it does in Sequential mode).
 	shardDets [][]detector.Detector
-	// reqPool and rbPool recycle the Requests and result batches the
-	// sharded mode streams between its stages. They live on the Pipeline —
-	// not the run — so repeated Run calls share one warmed pool instead of
-	// re-allocating their working set every run.
+	// reqPool recycles the Requests the relaxed mode streams through its
+	// rings. It lives on the Pipeline — not the run — so repeated Run
+	// calls share one warmed pool instead of re-allocating their working
+	// set every run.
 	reqPool sync.Pool
-	rbPool  sync.Pool
 	// seqVerdicts is the sequential mode's reused verdict slab.
 	seqVerdicts []detector.Verdict
 	// rings and relaxedVerdicts are the ShardedRelaxed working set: one
@@ -186,12 +150,9 @@ type Pipeline struct {
 	// once at New and reused across runs.
 	rings           []*relaxedRing
 	relaxedVerdicts [][]detector.Verdict
-	// pending is the sharded merger's reorder buffer, kept across runs so
-	// its buckets allocate once.
-	pending map[uint64]pendingItem
-	// seqEvictLast is the sequential mode's sweep cadence anchor; the
-	// other modes keep per-worker anchors on the run's goroutines. sweeps
-	// and evicted are atomics because sharded workers update them.
+	// seqEvictLast is the sequential mode's sweep cadence anchor; relaxed
+	// shard workers keep their own anchors on the run's goroutines. sweeps
+	// and evicted are atomics because shard workers update them.
 	seqEvictLast time.Time
 	sweeps       atomic.Uint64
 	evicted      atomic.Uint64
@@ -212,7 +173,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = Sequential
 	}
-	if cfg.Mode != Sequential && cfg.Mode != Concurrent && !cfg.Mode.shardedTopology() {
+	if cfg.Mode != Sequential && cfg.Mode != ShardedRelaxed {
 		return nil, fmt.Errorf("pipeline: invalid mode %d", int(cfg.Mode))
 	}
 	if cfg.Buffer <= 0 {
@@ -220,9 +181,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 128
 	}
 	if cfg.EvictWindow < 0 {
 		return nil, fmt.Errorf("pipeline: EvictWindow must be non-negative, got %v", cfg.EvictWindow)
@@ -233,83 +191,52 @@ func New(cfg Config) (*Pipeline, error) {
 			cfg.EvictEvery = time.Second
 		}
 	}
-	if !cfg.Mode.shardedTopology() && len(cfg.Detectors) == 0 && len(cfg.Factories) > 0 {
-		dets, err := buildDetectors(cfg.Factories)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Detectors = dets
-	}
-	if !cfg.Mode.shardedTopology() && len(cfg.Detectors) == 0 {
-		return nil, fmt.Errorf("pipeline: need at least one detector")
-	}
-	p := &Pipeline{cfg: cfg, enricher: detector.NewEnricher(cfg.Reputation)}
-	p.reqPool.New = func() any { return new(detector.Request) }
-	nd := len(cfg.Detectors)
-	if nd == 0 {
-		nd = len(cfg.Factories)
-	}
-	batch := cfg.Batch
-	p.rbPool.New = func() any {
-		return &resultBatch{
-			reqs:     make([]*detector.Request, 0, batch),
-			verdicts: make([]detector.Verdict, 0, batch*nd),
-		}
-	}
-	if cfg.Mode.shardedTopology() {
-		if len(cfg.Factories) == 0 {
-			return nil, fmt.Errorf("pipeline: mode %d requires Factories", int(cfg.Mode))
-		}
-		if len(cfg.Detectors) > 0 && len(cfg.Factories) != len(cfg.Detectors) {
-			return nil, fmt.Errorf("pipeline: %d factories for %d detectors",
-				len(cfg.Factories), len(cfg.Detectors))
-		}
-		// No prototype set is built here: shard 0's instances serve for
-		// names, and Run never touches cfg.Detectors in these modes.
-		p.shardDets = make([][]detector.Detector, cfg.Shards)
-		for i := range p.shardDets {
+	if cfg.Mode == Sequential {
+		if len(cfg.Detectors) == 0 && len(cfg.Factories) > 0 {
 			dets, err := buildDetectors(cfg.Factories)
 			if err != nil {
-				return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
+				return nil, err
 			}
-			p.shardDets[i] = dets
+			cfg.Detectors = dets
 		}
+		if len(cfg.Detectors) == 0 {
+			return nil, fmt.Errorf("pipeline: need at least one detector")
+		}
+		return &Pipeline{cfg: cfg, enricher: detector.NewEnricher(cfg.Reputation)}, nil
 	}
-	switch cfg.Mode {
-	case Sharded:
-		// The maximum in-flight working set is fixed by the channel depths,
-		// so pre-fill the pools and pre-size the reorder buffer here: even
-		// the pipeline's very first run streams without allocating its
-		// plumbing mid-flight.
-		depth := cfg.Buffer / cfg.Batch
-		if depth < 1 {
-			depth = 1
+
+	if len(cfg.Factories) == 0 {
+		return nil, fmt.Errorf("pipeline: ShardedRelaxed mode requires Factories")
+	}
+	if len(cfg.Detectors) > 0 && len(cfg.Factories) != len(cfg.Detectors) {
+		return nil, fmt.Errorf("pipeline: %d factories for %d detectors",
+			len(cfg.Factories), len(cfg.Detectors))
+	}
+	// No prototype set is built here: shard 0's instances serve for
+	// names, and Run never touches cfg.Detectors in this mode. Each shard
+	// gets one ring, Buffer requests deep (spsc rounds up to a power of
+	// two), and one reused verdict slab. The maximum in-flight Request
+	// count is the sum of ring capacities plus one per worker and one at
+	// the producer; the pool is pre-filled to that bound so the first run
+	// streams without allocating.
+	p := &Pipeline{cfg: cfg, enricher: detector.NewEnricher(cfg.Reputation)}
+	p.reqPool.New = func() any { return new(detector.Request) }
+	p.shardDets = make([][]detector.Detector, cfg.Shards)
+	p.rings = make([]*relaxedRing, cfg.Shards)
+	p.relaxedVerdicts = make([][]detector.Verdict, cfg.Shards)
+	inflight := cfg.Shards + 1
+	for i := range p.shardDets {
+		dets, err := buildDetectors(cfg.Factories)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 		}
-		inflight := cfg.Shards*(2*depth+2) + 4
-		for i := 0; i < inflight; i++ {
-			p.rbPool.Put(p.rbPool.New())
-		}
-		for i := 0; i < inflight*cfg.Batch; i++ {
-			p.reqPool.Put(new(detector.Request))
-		}
-		p.pending = make(map[uint64]pendingItem, cfg.Shards*depth*cfg.Batch)
-	case ShardedRelaxed:
-		// One ring per shard, Buffer requests deep (spsc rounds up to a
-		// power of two), plus one reused verdict slab per shard. The
-		// maximum in-flight Request count is the sum of ring capacities
-		// plus one per worker and one at the producer; pre-fill the pool
-		// to that bound so the first run streams without allocating.
-		p.rings = make([]*relaxedRing, cfg.Shards)
-		p.relaxedVerdicts = make([][]detector.Verdict, cfg.Shards)
-		inflight := cfg.Shards + 1
-		for i := range p.rings {
-			p.rings[i] = spsc.New[*detector.Request](cfg.Buffer)
-			p.relaxedVerdicts[i] = make([]detector.Verdict, len(cfg.Factories))
-			inflight += p.rings[i].Cap()
-		}
-		for i := 0; i < inflight; i++ {
-			p.reqPool.Put(new(detector.Request))
-		}
+		p.shardDets[i] = dets
+		p.rings[i] = spsc.New[*detector.Request](cfg.Buffer)
+		p.relaxedVerdicts[i] = make([]detector.Verdict, len(cfg.Factories))
+		inflight += p.rings[i].Cap()
+	}
+	for i := 0; i < inflight; i++ {
+		p.reqPool.Put(new(detector.Request))
 	}
 	return p, nil
 }
@@ -330,10 +257,11 @@ func buildDetectors(factories []detector.Factory) ([]detector.Detector, error) {
 }
 
 // Shards returns the effective worker-shard count: the configured (or
-// defaulted) count in Sharded mode, 1 otherwise. Benchmarks report it so
-// recorded results stay interpretable across machines.
+// defaulted) count in ShardedRelaxed mode, 1 in Sequential mode.
+// Benchmarks report it so recorded results stay interpretable across
+// machines.
 func (p *Pipeline) Shards() int {
-	if p.cfg.Mode.shardedTopology() {
+	if p.shardDets != nil {
 		return len(p.shardDets)
 	}
 	return 1
@@ -395,10 +323,10 @@ func (p *Pipeline) maybeEvict(last *time.Time, now time.Time, dets []detector.De
 }
 
 // EvictBefore proactively drops detector state untouched since cutoff
-// across every detector instance (all shards in Sharded mode), returning
-// the total evicted. It must not be called while a Run is in flight —
-// detector state is owned by the run's workers; between runs the caller
-// owns it (the same contract as Checkpoint).
+// across every detector instance (all shards in ShardedRelaxed mode),
+// returning the total evicted. It must not be called while a Run is in
+// flight — detector state is owned by the run's workers; between runs
+// the caller owns it (the same contract as Checkpoint).
 func (p *Pipeline) EvictBefore(cutoff time.Time) int {
 	n := 0
 	for _, d := range p.cfg.Detectors {
@@ -417,7 +345,7 @@ func (p *Pipeline) EvictBefore(cutoff time.Time) int {
 }
 
 // EvictionStats reports how many windowed sweeps have run and how many
-// state entries they evicted (lifetime, across all modes and workers).
+// state entries they evicted (lifetime, across all workers).
 func (p *Pipeline) EvictionStats() (sweeps, evicted uint64) {
 	return p.sweeps.Load(), p.evicted.Load()
 }
@@ -426,7 +354,8 @@ func (p *Pipeline) EvictionStats() (sweeps, evicted uint64) {
 // when the stream ends.
 type EntrySource func() (logfmt.Entry, error)
 
-// Sink consumes decisions in stream order; returning an error aborts the
+// Sink consumes decisions (in stream order in Sequential mode, in
+// per-client order in ShardedRelaxed mode); returning an error aborts the
 // run.
 type Sink func(Decision) error
 
@@ -436,16 +365,10 @@ type Sink func(Decision) error
 // only); order-sensitive relaxed consumers should use RunRelaxed with
 // one sink per shard instead.
 func (p *Pipeline) Run(ctx context.Context, src EntrySource, sink Sink) error {
-	switch p.cfg.Mode {
-	case Concurrent:
-		return p.runConcurrent(ctx, src, sink)
-	case Sharded:
-		return p.runSharded(ctx, src, sink)
-	case ShardedRelaxed:
+	if p.cfg.Mode == ShardedRelaxed {
 		return p.runRelaxedShared(ctx, src, sink)
-	default:
-		return p.runSequential(ctx, src, sink)
 	}
+	return p.runSequential(ctx, src, sink)
 }
 
 // RunReader streams an access log in Combined Log Format through the
@@ -495,138 +418,4 @@ func (p *Pipeline) runSequential(ctx context.Context, src EntrySource, sink Sink
 		tr.Lap(trace.StageSink, ts)
 		n++
 	}
-}
-
-func (p *Pipeline) runConcurrent(ctx context.Context, src EntrySource, sink Sink) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	nd := len(p.cfg.Detectors)
-	reqCh := make(chan *detector.Request, p.cfg.Buffer)
-	ins := make([]chan *detector.Request, nd)
-	outs := make([]chan detector.Verdict, nd)
-	for i := range ins {
-		ins[i] = make(chan *detector.Request, p.cfg.Buffer)
-		outs[i] = make(chan detector.Verdict, p.cfg.Buffer)
-	}
-
-	var wg sync.WaitGroup
-	srcErr := make(chan error, 1)
-	tr := p.cfg.Trace
-
-	// Producer: parse + enrich, fan out.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(reqCh)
-		defer func() {
-			for _, in := range ins {
-				close(in)
-			}
-		}()
-		for {
-			ts := tr.Now()
-			entry, err := src()
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if err != nil {
-				srcErr <- fmt.Errorf("pipeline: source: %w", err)
-				cancel()
-				return
-			}
-			ts = tr.Lap(trace.StageParse, ts)
-			req := p.reqPool.Get().(*detector.Request)
-			p.enricher.EnrichInto(req, entry)
-			tr.Lap(trace.StageEnrich, ts)
-			select {
-			case reqCh <- req:
-			case <-ctx.Done():
-				return
-			}
-			for _, in := range ins {
-				select {
-				case in <- req:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
-	// One goroutine per detector: order-preserving map over its input.
-	// Each goroutine sweeps its own detector on the event-time cadence —
-	// eviction is verdict-neutral, so per-detector cadence drift cannot
-	// desynchronise the zipped verdict streams.
-	for i, d := range p.cfg.Detectors {
-		wg.Add(1)
-		go func(di int, in <-chan *detector.Request, out chan<- detector.Verdict, d detector.Detector) {
-			defer wg.Done()
-			defer close(out)
-			own := []detector.Detector{d}
-			var evictLast time.Time
-			for req := range in {
-				p.maybeEvict(&evictLast, req.Entry.Time, own)
-				ts := tr.Now()
-				v := d.Inspect(req)
-				tr.LapDetector(di, ts)
-				select {
-				case out <- v:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}(i, ins[i], outs[i], d)
-	}
-
-	// Collector (caller's goroutine): zip verdict streams by position. One
-	// verdict slab is reused across decisions — the sink contract already
-	// requires callers to copy what they keep — and drained requests go
-	// back to the pool. Requests abandoned in channels on a cancelled run
-	// are simply dropped; the pool re-allocates on demand.
-	verdicts := make([]detector.Verdict, nd)
-	var runErr error
-collect:
-	for req := range reqCh {
-		for i := range outs {
-			v, ok := <-outs[i]
-			if !ok {
-				// Detector exited early (cancellation); stop collecting.
-				break collect
-			}
-			verdicts[i] = v
-		}
-		ts := tr.Now()
-		err := sink(Decision{Req: req, Verdicts: verdicts})
-		tr.Lap(trace.StageSink, ts)
-		p.reqPool.Put(req)
-		if err != nil {
-			runErr = fmt.Errorf("pipeline: sink: %w", err)
-			cancel()
-			break
-		}
-	}
-	// Drain to unblock stages, then wait for goroutine exit.
-	cancel()
-	for range reqCh {
-	}
-	for i := range outs {
-		for range outs[i] {
-		}
-	}
-	wg.Wait()
-
-	select {
-	case err := <-srcErr:
-		if runErr == nil {
-			runErr = err
-		}
-	default:
-	}
-	if runErr == nil {
-		if err := ctx.Err(); err != nil && !errors.Is(err, context.Canceled) {
-			runErr = err
-		}
-	}
-	return runErr
 }

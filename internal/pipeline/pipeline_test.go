@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,112 +88,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Detectors: []detector.Detector{sen}, Mode: Mode(42)}); err == nil {
 		t.Error("invalid mode accepted")
 	}
-}
-
-// The concurrent pipeline must produce byte-identical decisions to the
-// sequential one: detectors are order-preserving, so only the schedule
-// may differ.
-func TestSequentialConcurrentEquivalence(t *testing.T) {
-	events := generate(t, 2)
-
-	type decision struct {
-		alerts [2]bool
-		scores [2]float64
-	}
-	collect := func(mode Mode) []decision {
-		p := newPipe(t, mode)
-		var out []decision
-		err := p.Run(context.Background(), sourceFrom(events), func(d Decision) error {
-			out = append(out, decision{
-				alerts: [2]bool{d.Verdicts[0].Alert, d.Verdicts[1].Alert},
-				scores: [2]float64{d.Verdicts[0].Score, d.Verdicts[1].Score},
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		return out
-	}
-
-	seq := collect(Sequential)
-	for _, mode := range []Mode{Concurrent, Sharded} {
-		got := collect(mode)
-		if len(seq) != len(got) {
-			t.Fatalf("mode %d: decision counts differ: %d vs %d", mode, len(seq), len(got))
-		}
-		for i := range seq {
-			if seq[i] != got[i] {
-				t.Fatalf("mode %d: decision %d differs: seq %+v got %+v", mode, i, seq[i], got[i])
-			}
-		}
-	}
-	if len(seq) != len(events) {
-		t.Errorf("decisions %d != events %d", len(seq), len(events))
-	}
-}
-
-// The sharded pipeline must produce byte-identical Decision streams to the
-// sequential reference over a large stream (≥50k events), across several
-// shard counts and with small batches so partial-batch flushes, reordering
-// and pooling all get exercised. Scores, alerts, sequence numbers and
-// reason lists are all compared.
-func TestShardedEquivalenceLargeStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large stream")
-	}
-	events := generate(t, 6)
-	if len(events) < 50000 {
-		t.Fatalf("stream too small for the equivalence bar: %d events", len(events))
-	}
-
-	type decision struct {
-		seq      uint64
-		alerts   [2]bool
-		scores   [2]float64
-		reasons0 string
-		reasons1 string
-	}
-	collect := func(p *Pipeline) []decision {
-		out := make([]decision, 0, len(events))
-		err := p.Run(context.Background(), sourceFrom(events), func(d Decision) error {
-			out = append(out, decision{
-				seq:      d.Req.Seq,
-				alerts:   [2]bool{d.Verdicts[0].Alert, d.Verdicts[1].Alert},
-				scores:   [2]float64{d.Verdicts[0].Score, d.Verdicts[1].Score},
-				reasons0: d.Verdicts[0].Reasons.Join(","),
-				reasons1: d.Verdicts[1].Reasons.Join(","),
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	want := collect(newPipe(t, Sequential))
-	for _, shards := range []int{1, 3, 8} {
-		p, err := New(Config{
-			Factories:  pairFactories(),
-			Reputation: iprep.BuildFeed(),
-			Mode:       Sharded,
-			Shards:     shards,
-			Batch:      32,
-			Buffer:     64,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collect(p)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d decisions, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: decision %d differs:\n  seq  %+v\n  shard %+v", shards, i, want[i], got[i])
-			}
-		}
+	if _, err := New(Config{Detectors: []detector.Detector{sen}, Mode: ShardedRelaxed}); err == nil {
+		t.Error("ShardedRelaxed without factories accepted")
 	}
 }
 
@@ -238,71 +135,63 @@ func TestRunReaderSkipsMalformed(t *testing.T) {
 func TestSinkErrorStopsRun(t *testing.T) {
 	events := generate(t, 1)
 	boom := errors.New("boom")
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
-		p := newPipe(t, mode)
-		var n int
-		err := p.Run(context.Background(), sourceFrom(events), func(Decision) error {
-			n++
-			if n == 50 {
-				return boom
-			}
-			return nil
-		})
-		if !errors.Is(err, boom) {
-			t.Errorf("mode %d: error = %v, want boom", mode, err)
+	p := newPipe(t, Sequential)
+	var n int
+	err := p.Run(context.Background(), sourceFrom(events), func(Decision) error {
+		n++
+		if n == 50 {
+			return boom
 		}
-		if n != 50 {
-			t.Errorf("mode %d: sink called %d times, want 50", mode, n)
-		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("error = %v, want boom", err)
+	}
+	if n != 50 {
+		t.Errorf("sink called %d times, want 50", n)
 	}
 }
 
 func TestSourceErrorPropagates(t *testing.T) {
 	bad := errors.New("disk on fire")
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
-		p := newPipe(t, mode)
-		calls := 0
-		base := time.Date(2018, 3, 11, 6, 0, 0, 0, time.UTC)
-		src := func() (logfmt.Entry, error) {
-			calls++
-			if calls > 3 {
-				return logfmt.Entry{}, bad
-			}
-			return logfmt.Entry{
-				RemoteAddr: "10.0.0.1", Time: base.Add(time.Duration(calls) * time.Second),
-				Method: "GET", Path: "/", Proto: "HTTP/1.1",
-				Status: 200, Bytes: 1, Referer: "-", UserAgent: "x",
-			}, nil
+	p := newPipe(t, Sequential)
+	calls := 0
+	base := time.Date(2018, 3, 11, 6, 0, 0, 0, time.UTC)
+	src := func() (logfmt.Entry, error) {
+		calls++
+		if calls > 3 {
+			return logfmt.Entry{}, bad
 		}
-		err := p.Run(context.Background(), src, func(Decision) error { return nil })
-		if !errors.Is(err, bad) {
-			t.Errorf("mode %d: error = %v, want source error", mode, err)
-		}
+		return logfmt.Entry{
+			RemoteAddr: "10.0.0.1", Time: base.Add(time.Duration(calls) * time.Second),
+			Method: "GET", Path: "/", Proto: "HTTP/1.1",
+			Status: 200, Bytes: 1, Referer: "-", UserAgent: "x",
+		}, nil
+	}
+	err := p.Run(context.Background(), src, func(Decision) error { return nil })
+	if !errors.Is(err, bad) {
+		t.Errorf("error = %v, want source error", err)
 	}
 }
 
 func TestContextCancellation(t *testing.T) {
 	events := generate(t, 2)
-	for _, mode := range []Mode{Sequential, Concurrent, Sharded} {
-		p := newPipe(t, mode)
-		ctx, cancel := context.WithCancel(context.Background())
-		var n int
-		err := p.Run(ctx, sourceFrom(events), func(Decision) error {
-			n++
-			if n == 100 {
-				cancel()
-			}
-			return nil
-		})
-		cancel()
-		// Sequential surfaces ctx.Err; concurrent may finish in-flight
-		// work first, but must stop well before the full stream.
-		if mode == Sequential && !errors.Is(err, context.Canceled) {
-			t.Errorf("sequential: err = %v, want context.Canceled", err)
+	p := newPipe(t, Sequential)
+	ctx, cancel := context.WithCancel(context.Background())
+	var n int
+	err := p.Run(ctx, sourceFrom(events), func(Decision) error {
+		n++
+		if n == 100 {
+			cancel()
 		}
-		if n > len(events)/2 {
-			t.Errorf("mode %d: processed %d of %d after cancel", mode, n, len(events))
-		}
+		return nil
+	})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if n > len(events)/2 {
+		t.Errorf("processed %d of %d after cancel", n, len(events))
 	}
 }
 
@@ -339,7 +228,7 @@ func TestDetectors(t *testing.T) {
 }
 
 // stallDetector blocks inside Inspect until released; used to verify the
-// concurrent pipeline respects cancellation while a stage is busy —
+// relaxed pipeline respects cancellation while a shard is busy —
 // without any test-side sleeping, the stall and its release are explicit
 // channel handshakes.
 type stallDetector struct {
@@ -359,11 +248,12 @@ func (s *stallDetector) InspectInto(req *detector.Request, out *detector.Verdict
 	*out = s.Inspect(req)
 }
 
-func TestConcurrentCancellationWithSlowStage(t *testing.T) {
+func TestCancellationWithSlowStage(t *testing.T) {
 	stall := &stallDetector{stalled: make(chan struct{}), release: make(chan struct{})}
 	p, err := New(Config{
-		Detectors: []detector.Detector{stall},
-		Mode:      Concurrent,
+		Factories: []detector.Factory{func() (detector.Detector, error) { return stall, nil }},
+		Mode:      ShardedRelaxed,
+		Shards:    1,
 		Buffer:    4,
 	})
 	if err != nil {
@@ -385,9 +275,9 @@ func TestConcurrentCancellationWithSlowStage(t *testing.T) {
 	go func() {
 		done <- p.Run(ctx, src, func(Decision) error { return nil })
 	}()
-	// Wait until the stage is provably mid-Inspect, let the deadline
-	// expire while it is blocked, then release it; the pipeline must
-	// unwind and surface the deadline.
+	// Wait until the shard is provably mid-Inspect, let the deadline
+	// expire while it is blocked (the producer parks on the full ring),
+	// then release it; the pipeline must unwind and surface the deadline.
 	<-stall.stalled
 	<-ctx.Done()
 	close(stall.release)
@@ -403,14 +293,6 @@ func TestConcurrentCancellationWithSlowStage(t *testing.T) {
 
 func BenchmarkPipelineSequential(b *testing.B) {
 	benchmarkPipeline(b, Sequential)
-}
-
-func BenchmarkPipelineConcurrent(b *testing.B) {
-	benchmarkPipeline(b, Concurrent)
-}
-
-func BenchmarkPipelineSharded(b *testing.B) {
-	benchmarkPipeline(b, Sharded)
 }
 
 func BenchmarkPipelineRelaxed(b *testing.B) {
@@ -451,36 +333,42 @@ func benchmarkPipeline(b *testing.B, mode Mode) {
 	b.SetBytes(logBytes)
 }
 
-// The concurrent pipeline must not leak goroutines on any exit path:
-// normal completion, sink error, or cancellation.
+// The relaxed pipeline's per-shard-sink entry point must not leak
+// goroutines on any exit path: normal completion, sink error, or
+// cancellation. (TestRelaxedNoGoroutineLeaks covers the shared-sink Run
+// path.)
 func TestNoGoroutineLeaks(t *testing.T) {
 	events := generate(t, 1)
 	before := runtime.NumGoroutine()
 
-	for round := 0; round < 3; round++ {
-		for _, mode := range []Mode{Concurrent, Sharded} {
-			// Normal completion.
-			p := newPipe(t, mode)
-			if err := p.Run(context.Background(), sourceFrom(events), func(Decision) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-			// Sink error.
-			p2 := newPipe(t, mode)
-			boom := errors.New("x")
-			_ = p2.Run(context.Background(), sourceFrom(events), func(Decision) error { return boom })
-			// Cancellation.
-			ctx, cancel := context.WithCancel(context.Background())
-			p3 := newPipe(t, mode)
-			n := 0
-			_ = p3.Run(ctx, sourceFrom(events), func(Decision) error {
-				n++
-				if n == 10 {
-					cancel()
-				}
-				return nil
-			})
-			cancel()
+	sinksOf := func(p *Pipeline, sink Sink) []Sink {
+		sinks := make([]Sink, p.Shards())
+		for i := range sinks {
+			sinks[i] = sink
 		}
+		return sinks
+	}
+	for round := 0; round < 3; round++ {
+		// Normal completion.
+		p := newPipe(t, ShardedRelaxed)
+		if err := p.RunRelaxed(context.Background(), sourceFrom(events), sinksOf(p, func(Decision) error { return nil })); err != nil {
+			t.Fatal(err)
+		}
+		// Sink error.
+		p2 := newPipe(t, ShardedRelaxed)
+		boom := errors.New("x")
+		_ = p2.RunRelaxed(context.Background(), sourceFrom(events), sinksOf(p2, func(Decision) error { return boom }))
+		// Cancellation.
+		ctx, cancel := context.WithCancel(context.Background())
+		p3 := newPipe(t, ShardedRelaxed)
+		var n atomic.Uint64
+		_ = p3.RunRelaxed(ctx, sourceFrom(events), sinksOf(p3, func(Decision) error {
+			if n.Add(1) == 10 {
+				cancel()
+			}
+			return nil
+		}))
+		cancel()
 	}
 
 	// Run returns only after wg.Wait, so worker goroutines are already

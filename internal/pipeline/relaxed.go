@@ -9,32 +9,28 @@ import (
 	"time"
 
 	"divscrape/internal/detector"
+	"divscrape/internal/fnvhash"
 	"divscrape/internal/spsc"
 	"divscrape/internal/trace"
 )
 
-// Relaxed-ordering sharded execution. The total-order Sharded mode pays
-// for its byte-identical stream with a global sequence-ordered merge:
-// every decision funnels back through one goroutine and one reorder map,
-// which BENCH_PR7's stage spans pin as the wall (merge ≈19µs/decision
-// while every other stage sits under 0.6µs). ShardedRelaxed removes the
-// funnel instead of optimising it. The producer still parses and
-// enriches on one goroutine — sequence numbers stay in input order — and
-// still partitions by client IP, but requests travel one at a time
-// through a bounded SPSC ring per shard, and each shard drains straight
-// into its own sink. No reorder map, no merge stage, no cross-shard
-// synchronisation after the hand-off.
+// Relaxed-ordering sharded execution. The producer parses and enriches
+// on one goroutine — sequence numbers stay in input order — and
+// partitions by client IP; requests travel one at a time through a
+// bounded SPSC ring per shard, and each shard drains straight into its
+// own sink. Nothing merges the shard streams back into input order, so
+// there is no cross-shard synchronisation after the hand-off.
 //
 // Ordering contract: all requests from one client hash to one shard
-// (shardOf), the producer enriches in input order, and the ring is FIFO,
-// so each client's decision sequence is byte-identical to Sequential —
-// which is the only order the detectors, sessions and the mitigation
-// ladder depend on. Across clients, the interleaving is a permutation of
-// the sequential stream: the union of all shards' decisions is multiset-
-// equal to Sequential (every decision carries its enricher sequence
-// number, so callers that need total order can sort — or should use
-// Sharded). Both guarantees are pinned by the metamorphic equivalence
-// suite in relaxed_test.go at ≥50k events.
+// (fnvhash.Shard), the producer enriches in input order, and the ring is
+// FIFO, so each client's decision sequence is byte-identical to
+// Sequential — which is the only order the detectors, sessions and the
+// mitigation ladder depend on. Across clients, the interleaving is a
+// permutation of the sequential stream: the union of all shards'
+// decisions is multiset-equal to Sequential (every decision carries its
+// enricher sequence number, so callers that need total order can sort —
+// or should use Sequential). Both guarantees are pinned by the
+// metamorphic equivalence suite in relaxed_test.go at ≥50k events.
 
 // relaxedRing is the per-shard hand-off queue. Requests come from the
 // pipeline's reqPool and return to it on the shard worker after the sink
@@ -65,9 +61,8 @@ func (p *Pipeline) RunRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 
 // runRelaxedShared adapts the single-sink Run entry point: every shard
 // drains into the same sink, which therefore must be safe for concurrent
-// use. The facade and experiments use this with commutative accumulators
-// behind a mutex; order-sensitive consumers should call RunRelaxed with
-// per-shard sinks or pick the Sharded mode.
+// use. Order-sensitive consumers should call RunRelaxed with per-shard
+// sinks or pick the Sequential mode.
 func (p *Pipeline) runRelaxedShared(ctx context.Context, src EntrySource, sink Sink) error {
 	sinks := make([]Sink, len(p.shardDets))
 	for i := range sinks {
@@ -160,7 +155,7 @@ func (p *Pipeline) runRelaxed(ctx context.Context, src EntrySource, sinks []Sink
 		req := reqPool.Get().(*detector.Request)
 		p.enricher.EnrichInto(req, entry)
 		tr.Lap(trace.StageEnrich, ts)
-		s := shardOf(req.IP, shards)
+		s := fnvhash.Shard(req.IP, shards)
 		if !rings[s].Push(done, req) {
 			// Cancelled (a sink error or the caller's context); the
 			// request never entered the ring.

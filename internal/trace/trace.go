@@ -1,6 +1,6 @@
 // Package trace is the decision provenance and pipeline tracing plane:
 // per-stage span recording that feeds latency histograms and shard
-// occupancy gauges into an internal/metrics registry, plus a sampled
+// ring-occupancy gauges into an internal/metrics registry, plus a sampled
 // flight recorder (recorder.go) that captures complete decision records —
 // feature snapshot, each detector's verdict and reasons, the ensemble
 // outcome and the mitigation rung transition — for the clients that
@@ -29,9 +29,8 @@ import (
 
 // Stage identifies one pipeline stage in a span. The stages mirror the
 // decision path: parse → enrich → detect (per detector) → ensemble →
-// merge → sink. Not every mode exercises every stage (httpguard has no
-// parse or merge; the sequential pipeline has no merge) — unexercised
-// stages simply record nothing.
+// sink. Not every deployment exercises every stage (httpguard has no
+// parse) — unexercised stages simply record nothing.
 type Stage uint8
 
 const (
@@ -44,18 +43,13 @@ const (
 	StageDetect
 	// StageEnsemble covers adjudication plus the mitigation ladder step.
 	StageEnsemble
-	// StageMerge covers the sharded merger's handling of one result batch:
-	// reorder bookkeeping plus any decisions it emits (StageSink spans are
-	// nested inside it in sharded mode — the merger is the serial section,
-	// so its span deliberately includes the sink work it serialises).
-	StageMerge
 	// StageSink covers the caller's sink callback for one decision.
 	StageSink
 
 	numStages
 )
 
-var stageNames = [numStages]string{"parse", "enrich", "detect", "ensemble", "merge", "sink"}
+var stageNames = [numStages]string{"parse", "enrich", "detect", "ensemble", "sink"}
 
 // String returns the stage's label value in divscrape_stage_seconds.
 func (s Stage) String() string {
@@ -84,17 +78,10 @@ type Config struct {
 	// records into the histogram labelled Detectors[i]. Required if
 	// LapDetector will be used.
 	Detectors []string
-	// Shards, when > 0, registers per-shard queue-depth and in-flight
-	// batch gauges plus the merge-stall instruments (sharded pipeline
-	// topology). Leave 0 for sequential/concurrent modes and httpguard.
+	// Shards, when > 0, registers one SPSC ring occupancy gauge per shard
+	// (divscrape_shard_ring_depth) for a ShardedRelaxed pipeline. Leave 0
+	// for the sequential pipeline and httpguard.
 	Shards int
-	// Relaxed marks a ShardedRelaxed pipeline topology: with Shards > 0 it
-	// swaps the batch/merge instruments (queue depth, in-flight batches,
-	// merge pending, merge stalls — none of which exist without a merger)
-	// for per-shard SPSC ring occupancy gauges
-	// (divscrape_shard_ring_depth), so a relaxed pipeline's metrics page
-	// never shows dead merge families frozen at zero.
-	Relaxed bool
 	// Now supplies timestamps for spans and flight records; nil means
 	// time.Now. Tests inject deterministic clocks here.
 	Now func() time.Time
@@ -115,11 +102,7 @@ type Tracer struct {
 	detect      []*metrics.Histogram
 	detectNames []string
 
-	queue     []*metrics.Gauge
-	inflight  []*metrics.Gauge
-	ring      []*metrics.Gauge
-	mergePend *metrics.Gauge
-	stalls    *metrics.Counter
+	ring []*metrics.Gauge
 }
 
 // New builds an enabled Tracer, registering its instruments into
@@ -127,12 +110,7 @@ type Tracer struct {
 //
 //	divscrape_stage_seconds{stage=...}            per-stage span histograms
 //	divscrape_stage_seconds{stage="detect",detector=...}
-//	divscrape_shard_queue_batches{shard=...}      input queue depth at hand-off
-//	divscrape_shard_inflight_batches{shard=...}   batches between producer and recycle
-//	divscrape_merge_pending_decisions             decisions parked in the reorder map
-//	divscrape_merge_stalls_total                  batches that emitted nothing
 //	divscrape_shard_ring_depth{shard=...}         relaxed-mode SPSC ring occupancy
-//	                                              (replaces the four above when Relaxed)
 //	divscrape_trace_decisions_total               decisions offered to the recorder
 //	divscrape_trace_records_total                 flight records captured
 //	divscrape_trace_record_drops_total            ring overwrites of unread records
@@ -165,28 +143,11 @@ func New(cfg Config) *Tracer {
 			metrics.Label{Key: "detector", Value: name})
 	}
 
-	switch {
-	case cfg.Shards > 0 && cfg.Relaxed:
-		t.ring = make([]*metrics.Gauge, cfg.Shards)
-		for i := 0; i < cfg.Shards; i++ {
-			t.ring[i] = reg.MustGauge("divscrape_shard_ring_depth",
-				"Requests queued in each shard's SPSC hand-off ring, observed at producer push.",
-				metrics.Label{Key: "shard", Value: strconv.Itoa(i)})
-		}
-	case cfg.Shards > 0:
-		t.queue = make([]*metrics.Gauge, cfg.Shards)
-		t.inflight = make([]*metrics.Gauge, cfg.Shards)
-		for i := 0; i < cfg.Shards; i++ {
-			lbl := metrics.Label{Key: "shard", Value: strconv.Itoa(i)}
-			t.queue[i] = reg.MustGauge("divscrape_shard_queue_batches",
-				"Input queue depth observed at each batch hand-off, per shard.", lbl)
-			t.inflight[i] = reg.MustGauge("divscrape_shard_inflight_batches",
-				"Result batches between producer hand-off and merger recycle, per shard.", lbl)
-		}
-		t.mergePend = reg.MustGauge("divscrape_merge_pending_decisions",
-			"Decisions parked in the merger's reorder map awaiting the next sequence number.")
-		t.stalls = reg.MustCounter("divscrape_merge_stalls_total",
-			"Result batches whose arrival emitted no decisions (merger blocked on an earlier sequence).")
+	t.ring = make([]*metrics.Gauge, cfg.Shards)
+	for i := range t.ring {
+		t.ring[i] = reg.MustGauge("divscrape_shard_ring_depth",
+			"Requests queued in each shard's SPSC hand-off ring, observed at producer push.",
+			metrics.Label{Key: "shard", Value: strconv.Itoa(i)})
 	}
 
 	reg.MustCounterFunc("divscrape_trace_decisions_total",
@@ -254,60 +215,14 @@ func (t *Tracer) LapDetector(i int, prev time.Time) time.Time {
 	return now
 }
 
-// QueueDepth records the input queue depth observed when handing a batch
-// to shard. Out-of-range shards are ignored.
-func (t *Tracer) QueueDepth(shard, depth int) {
-	if t == nil || shard >= len(t.queue) {
-		return
-	}
-	t.queue[shard].Set(int64(depth))
-}
-
-// Occupancy moves shard's in-flight batch gauge by delta (+1 at producer
-// hand-off, −1 when the merger recycles the batch).
-func (t *Tracer) Occupancy(shard, delta int) {
-	if t == nil || shard >= len(t.inflight) {
-		return
-	}
-	t.inflight[shard].Add(int64(delta))
-}
-
 // RingDepth records shard's SPSC ring occupancy, observed by the
 // relaxed-mode producer after a push. Out-of-range shards (and tracers
-// built without Relaxed) are ignored.
+// built without Shards) are ignored.
 func (t *Tracer) RingDepth(shard, depth int) {
 	if t == nil || shard >= len(t.ring) {
 		return
 	}
 	t.ring[shard].Set(int64(depth))
-}
-
-// MergePending records the size of the merger's reorder map after
-// processing a batch.
-func (t *Tracer) MergePending(n int) {
-	if t == nil || t.mergePend == nil {
-		return
-	}
-	t.mergePend.Set(int64(n))
-}
-
-// MergeStall counts a batch whose arrival emitted no decisions: the
-// merger is holding completed work hostage to an earlier sequence number
-// still in flight — the serialisation the ROADMAP's scaling item is
-// chasing, made countable.
-func (t *Tracer) MergeStall() {
-	if t == nil || t.stalls == nil {
-		return
-	}
-	t.stalls.Inc()
-}
-
-// MergeStalls returns the stall count (0 when disabled or unsharded).
-func (t *Tracer) MergeStalls() uint64 {
-	if t == nil || t.stalls == nil {
-		return 0
-	}
-	return t.stalls.Value()
 }
 
 // StageStat is one stage histogram's totals, for benchmark reporting.

@@ -25,13 +25,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	ts = tr.Lap(StageParse, ts)
 	ts = tr.LapDetector(0, ts)
 	_ = ts
-	tr.QueueDepth(0, 5)
-	tr.Occupancy(0, 1)
-	tr.MergePending(3)
-	tr.MergeStall()
-	if tr.MergeStalls() != 0 {
-		t.Error("nil tracer MergeStalls() != 0")
-	}
+	tr.RingDepth(0, 5)
 	if tr.StageStats() != nil {
 		t.Error("nil tracer StageStats() != nil")
 	}
@@ -54,9 +48,7 @@ func TestNilTracerSpanPathAllocs(t *testing.T) {
 		ts = tr.LapDetector(0, ts)
 		ts = tr.LapDetector(1, ts)
 		tr.Lap(StageSink, ts)
-		tr.QueueDepth(0, 1)
-		tr.Occupancy(0, 1)
-		tr.MergeStall()
+		tr.RingDepth(0, 1)
 		if tr.Recorder().Sample() != SampleNone {
 			t.Fatal("nil recorder sampled")
 		}
@@ -88,7 +80,6 @@ func TestLapRecordsSpans(t *testing.T) {
 		"sink":            {1, 1e-6},
 		"enrich":          {0, 0},
 		"ensemble":        {0, 0},
-		"merge":           {0, 0},
 	}
 	for _, st := range tr.StageStats() {
 		w, ok := want[st.Name()]
@@ -123,26 +114,14 @@ func TestLapZeroPrevRecordsNothing(t *testing.T) {
 
 func TestShardInstruments(t *testing.T) {
 	tr := New(Config{Shards: 2})
-	tr.QueueDepth(0, 7)
-	tr.Occupancy(1, 1)
-	tr.Occupancy(1, 1)
-	tr.Occupancy(1, -1)
-	tr.MergePending(3)
-	tr.MergeStall()
-	tr.MergeStall()
-	if got := tr.MergeStalls(); got != 2 {
-		t.Errorf("MergeStalls = %d, want 2", got)
-	}
+	tr.RingDepth(0, 5)
+	tr.RingDepth(1, 2)
 	// Out-of-range shards must be ignored, not panic.
-	tr.QueueDepth(9, 1)
-	tr.Occupancy(9, 1)
-
+	tr.RingDepth(9, 1)
 	page := string(tr.Registry().AppendPrometheus(nil))
 	for _, want := range []string{
-		`divscrape_shard_queue_batches{shard="0"} 7`,
-		`divscrape_shard_inflight_batches{shard="1"} 1`,
-		"divscrape_merge_pending_decisions 3",
-		"divscrape_merge_stalls_total 2",
+		`divscrape_shard_ring_depth{shard="0"} 5`,
+		`divscrape_shard_ring_depth{shard="1"} 2`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("registry page missing %q:\n%s", want, page)
@@ -150,66 +129,29 @@ func TestShardInstruments(t *testing.T) {
 	}
 }
 
-// Relaxed-mode tracers swap the batch/merge instruments for SPSC ring
-// occupancy gauges: the merge families would be dead weight (the mode
-// has no merger), and frozen-at-zero metrics on a live pipeline's page
-// read as a stuck merger, not an absent one.
+// A sharded tracer exposes the ring occupancy family and nothing else
+// per shard: every shard instrument on the page is one the relaxed
+// pipeline actually updates, so none sits frozen at zero.
 func TestRelaxedTracerInstruments(t *testing.T) {
-	tr := New(Config{Shards: 2, Relaxed: true})
-	tr.RingDepth(0, 5)
-	tr.RingDepth(1, 2)
-	// Out-of-range shards must be ignored, not panic.
-	tr.RingDepth(9, 1)
-	// Merge/batch setters degrade to no-ops in relaxed topology.
-	tr.QueueDepth(0, 7)
-	tr.Occupancy(0, 1)
-	tr.MergePending(3)
-	tr.MergeStall()
-	if tr.MergeStalls() != 0 {
-		t.Error("relaxed tracer counted a merge stall")
-	}
+	tr := New(Config{Shards: 3})
 	page := string(tr.Registry().AppendPrometheus(nil))
-	for _, want := range []string{
-		`divscrape_shard_ring_depth{shard="0"} 5`,
-		`divscrape_shard_ring_depth{shard="1"} 2`,
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("relaxed registry page missing %q:\n%s", want, page)
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "divscrape_shard_") && !strings.HasPrefix(line, "divscrape_shard_ring_depth{") {
+			t.Errorf("sharded tracer exposes an unexpected shard instrument: %q", line)
 		}
 	}
-	for _, absent := range []string{
-		"divscrape_shard_queue_batches",
-		"divscrape_shard_inflight_batches",
-		"divscrape_merge_pending_decisions",
-		"divscrape_merge_stalls_total",
-	} {
-		if strings.Contains(page, absent) {
-			t.Errorf("relaxed registry page still exposes merge-era family %q:\n%s", absent, page)
-		}
-	}
-	// And the inverse: a total-order tracer has no ring gauges.
-	ordered := New(Config{Shards: 2})
-	ordered.RingDepth(0, 5)
-	if page := string(ordered.Registry().AppendPrometheus(nil)); strings.Contains(page, "divscrape_shard_ring_depth") {
-		t.Errorf("total-order registry page exposes ring gauges:\n%s", page)
+	if n := strings.Count(page, "divscrape_shard_ring_depth{"); n != 3 {
+		t.Errorf("%d ring gauges registered, want one per shard (3):\n%s", n, page)
 	}
 }
 
 // Unsharded tracers (httpguard, sequential replays) must not expose
-// shard gauges, and the merge setters must degrade to no-ops.
+// shard gauges, and the ring setter must degrade to a no-op.
 func TestUnshardedTracerHasNoShardInstruments(t *testing.T) {
 	tr := New(Config{})
-	tr.QueueDepth(0, 5)
-	tr.Occupancy(0, 1)
-	tr.MergePending(3)
-	tr.MergeStall()
-	if tr.MergeStalls() != 0 {
-		t.Error("unsharded tracer counted a merge stall")
-	}
+	tr.RingDepth(0, 5)
 	page := string(tr.Registry().AppendPrometheus(nil))
-	for _, absent := range []string{"divscrape_shard_", "divscrape_merge_"} {
-		if strings.Contains(page, absent) {
-			t.Errorf("unsharded registry page contains %q:\n%s", absent, page)
-		}
+	if strings.Contains(page, "divscrape_shard_") {
+		t.Errorf("unsharded registry page contains shard instruments:\n%s", page)
 	}
 }
