@@ -4,7 +4,8 @@
 # regressions in wiring and to average out single-run jitter) and records
 # the results machine-readably in BENCH_PR10.json so the performance
 # trajectory survives the CI log. `make fuzz` runs the statecodec fuzz
-# targets for a short bounded pass.
+# targets and the session product-ID set's differential fuzz target for a
+# short bounded pass.
 # `make benchcmp` runs the same benchmarks once and gates them against the
 # checked-in record: non-zero exit when req/s regresses >20% or allocs/op
 # rises on any shared benchmark. Both targets share the bench.out recipe,
@@ -12,6 +13,7 @@
 # `make chaos` runs the fault-injection suite under the race detector:
 # detector panics, torn checkpoint writes, ENOSPC, follower read errors —
 # every failure the failure plane claims to absorb, injected on purpose.
+# `make fmt` fails when any Go file is not gofmt-clean.
 # `make nosleep` greps tests for time.Sleep — deterministic tests drive
 # time through injected clocks and hooks (internal/clockwork,
 # faultinject.SetSleep, the Sleep hooks on configs), never the wall clock.
@@ -25,9 +27,16 @@ SHELL := /bin/bash
 
 BENCH_RECORD := BENCH_PR10.json
 
-.PHONY: verify build test vet bench benchcmp race chaos fuzz nosleep cover bench.out
+.PHONY: verify fmt build test vet bench benchcmp race chaos fuzz nosleep cover bench.out
 
-verify: vet build test nosleep
+verify: fmt vet build test nosleep
+
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "$$out"; \
+		echo "error: the files above are not gofmt-clean; run gofmt -w on them"; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statecodec/ -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats/ -run xxx -fuzz FuzzIDSet -fuzztime $(FUZZTIME)
 
 bench.out:
 	@rm -f bench.out

@@ -417,7 +417,7 @@ func run(w io.Writer, args []string) error {
 	// total-order outputs default to sequential unless parallelism was
 	// explicitly requested: a live tail is bound by the log's write rate,
 	// not detection throughput (the sequential pipeline's end-to-end
-	// median is 267k req/s in e2ebench's replay-seq workload), and -out,
+	// median is 314k req/s in e2ebench's replay-seq workload), and -out,
 	// -trace-out and -explain need one total decision order.
 	parallelSet := false
 	fs.Visit(func(f *flag.Flag) {

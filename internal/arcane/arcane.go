@@ -140,7 +140,7 @@ type session struct {
 	robotsViol      uint64
 	refererMiss     uint64
 	refererEligible uint64
-	products        map[int]struct{}
+	products        stats.IDSet
 	lastProduct     int
 	seqRuns         uint64 // consecutive-ID product/price accesses
 	lastCategory    int
@@ -208,19 +208,19 @@ func newStore(cfg Config) (*sessions.Store[session], error) {
 		IdleTimeout: cfg.IdleTimeout,
 		New: func(time.Time) *session {
 			return &session{
-				products:     make(map[int]struct{}, 16),
+				products:     stats.NewIDSet(16),
 				lastProduct:  -1,
 				lastCategory: -1,
 				lastPage:     -1,
 				rate:         stats.NewDecayRate(2 * time.Minute),
 			}
 		},
-		// Recycle resets an ended session in place — the product map keeps
-		// its buckets, the decay-rate tracker its configuration — so
+		// Recycle resets an ended session in place — the product set keeps
+		// its storage, the decay-rate tracker its configuration — so
 		// session churn does not allocate in steady state.
 		Recycle: func(st *session) {
 			products, rate := st.products, st.rate
-			clear(products)
+			products.Reset()
 			rate.Reset()
 			*st = session{
 				products:     products,
@@ -286,7 +286,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	}
 
 	now := req.Entry.Time
-	st, fresh := d.store.Touch(sessions.KeyFor(req.IP, req.Entry.UserAgent), now)
+	st, fresh := d.store.Touch(req.SessionKey(), now)
 	d.observe(st, req, now, fresh)
 
 	if st.count < uint64(d.cfg.WarmupRequests) {
@@ -343,7 +343,7 @@ func (d *Detector) observe(st *session, req *detector.Request, now time.Time, fr
 	}
 	// Sequential-ID enumeration across product pages and the price API.
 	if id := info.ProductID; id >= 0 {
-		st.products[id] = struct{}{}
+		st.products.Add(id)
 		if st.lastProduct >= 0 && (id == st.lastProduct+1 || id == st.lastProduct+2) {
 			st.seqRuns++
 		}
@@ -380,7 +380,7 @@ func (d *Detector) fillFeatures(st *session, now time.Time) {
 		vec[idxEnumeration] = float64(st.seqRuns) / float64(contentReqs) * 2
 		vec[idxNotFound] = float64(st.notFound) / float64(contentReqs) * 2
 	}
-	vec[idxCoverage] = float64(len(st.products)) / d.cfg.CoverageKnee
+	vec[idxCoverage] = float64(st.products.Len()) / d.cfg.CoverageKnee
 	if st.pages > 0 {
 		vec[idxPagination] = float64(st.pageRuns) / float64(st.pages) * 2
 	}

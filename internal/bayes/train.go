@@ -6,6 +6,7 @@ import (
 
 	"divscrape/internal/detector"
 	"divscrape/internal/sessions"
+	"divscrape/internal/stats"
 	"divscrape/internal/workload"
 )
 
@@ -59,7 +60,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 		IdleTimeout: cfg.IdleTimeout,
 		New: func(now time.Time) *trainSession {
 			ts := &trainSession{}
-			ts.products = make(map[int]struct{}, 8)
+			ts.products = stats.NewIDSet(8)
 			ts.first = now
 			return ts
 		},
@@ -77,7 +78,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 	err = gen.Run(func(ev workload.Event) error {
 		req := enricher.Enrich(ev.Entry)
 		now := ev.Entry.Time
-		ts, fresh := store.Touch(sessions.KeyFor(req.IP, ev.Entry.UserAgent), now)
+		ts, fresh := store.Touch(req.SessionKey(), now)
 		ts.malicious = ev.Label.Malicious()
 		observe(&ts.session, &req, now, fresh)
 		if ts.count%uint64(cfg.SampleEvery) == 0 {

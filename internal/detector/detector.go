@@ -12,6 +12,7 @@ import (
 
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
+	"divscrape/internal/sessions"
 	"divscrape/internal/uaparse"
 )
 
@@ -32,6 +33,26 @@ type Request struct {
 	// IPCat is the reputation category of IP; iprep.Unknown when no feed
 	// covers it.
 	IPCat iprep.Category
+
+	// uaHash is the User-Agent's FNV-1a hash, cached by the enricher so
+	// each distinct User-Agent string is hashed once, and uaHashOf the
+	// string it was computed for; see SessionKey.
+	uaHashOf string
+	uaHash   uint64
+}
+
+// SessionKey returns the (IP, User-Agent) key the session-keyed detectors
+// file this request under. An enriched request reuses the hash its
+// enricher cached, but only while Entry.UserAgent is still the string
+// that hash was computed for — a compare that costs O(1) because the two
+// strings share one pointer — so a request built by hand, or whose
+// User-Agent was changed after enrichment, gets its key computed afresh.
+// A cached hash of 0 counts as absent; recomputing it yields 0 again.
+func (r *Request) SessionKey() sessions.Key {
+	if r.uaHash != 0 && r.uaHashOf == r.Entry.UserAgent {
+		return sessions.Key{IP: r.IP, UAHash: r.uaHash}
+	}
+	return sessions.KeyFor(r.IP, r.Entry.UserAgent)
 }
 
 // MaxReasons is the number of explanation slots a Verdict carries inline.

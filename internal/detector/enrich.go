@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"divscrape/internal/fnvhash"
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
 	"divscrape/internal/uaparse"
@@ -9,12 +10,33 @@ import (
 // Enricher turns raw log entries into Requests, caching the expensive
 // parses: User-Agent strings repeat heavily (a handful of browser strings
 // cover most human traffic) and reputation lookups repeat per client.
+// The UA cache also holds each string's session-key hash, so the
+// detectors keying sessions by (IP, UA) share one hash per distinct
+// string instead of each hashing every request's UA.
 // Enricher is not safe for concurrent use; the pipeline owns one.
 type Enricher struct {
 	rep     *iprep.DB
-	uaCache map[string]uaparse.Info
+	uaCache map[string]uaInfo
 	ipCache map[string]ipInfo
 	seq     uint64
+}
+
+// uaInfo is a cached User-Agent: its parse and its FNV-1a hash.
+type uaInfo struct {
+	info uaparse.Info
+	hash uint64
+}
+
+// parseUA builds the cache entry for a User-Agent string.
+func parseUA(userAgent string) uaInfo {
+	return uaInfo{info: uaparse.Parse(userAgent), hash: fnvhash.String64(userAgent)}
+}
+
+// setUA fills the request's User-Agent fields from a cache entry.
+func (req *Request) setUA(ua uaInfo) {
+	req.UA = ua.info
+	req.uaHash = ua.hash
+	req.uaHashOf = req.Entry.UserAgent
 }
 
 type ipInfo struct {
@@ -27,7 +49,7 @@ type ipInfo struct {
 func NewEnricher(rep *iprep.DB) *Enricher {
 	return &Enricher{
 		rep:     rep,
-		uaCache: make(map[string]uaparse.Info, 1024),
+		uaCache: make(map[string]uaInfo, 1024),
 		ipCache: make(map[string]ipInfo, 4096),
 	}
 }
@@ -49,13 +71,13 @@ func (e *Enricher) EnrichInto(req *Request, entry logfmt.Entry) {
 
 	ua, ok := e.uaCache[entry.UserAgent]
 	if !ok {
-		ua = uaparse.Parse(entry.UserAgent)
+		ua = parseUA(entry.UserAgent)
 		// Bound the cache against adversarial UA churn.
 		if len(e.uaCache) < 1<<16 {
 			e.uaCache[entry.UserAgent] = ua
 		}
 	}
-	req.UA = ua
+	req.setUA(ua)
 
 	info, ok := e.ipCache[entry.RemoteAddr]
 	if !ok {

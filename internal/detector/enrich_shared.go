@@ -6,7 +6,6 @@ import (
 
 	"divscrape/internal/iprep"
 	"divscrape/internal/logfmt"
-	"divscrape/internal/uaparse"
 )
 
 // SharedEnricher is the concurrency-safe counterpart of Enricher, built
@@ -22,7 +21,7 @@ type SharedEnricher struct {
 	seq atomic.Uint64
 
 	mu      sync.RWMutex
-	uaCache map[string]uaparse.Info
+	uaCache map[string]uaInfo
 	ipCache map[string]ipInfo
 }
 
@@ -31,7 +30,7 @@ type SharedEnricher struct {
 func NewSharedEnricher(rep *iprep.DB) *SharedEnricher {
 	return &SharedEnricher{
 		rep:     rep,
-		uaCache: make(map[string]uaparse.Info, 1024),
+		uaCache: make(map[string]uaInfo, 1024),
 		ipCache: make(map[string]ipInfo, 4096),
 	}
 }
@@ -50,7 +49,7 @@ func (e *SharedEnricher) EnrichInto(req *Request, entry logfmt.Entry) {
 	e.mu.RUnlock()
 
 	if !uaHit {
-		ua = uaparse.Parse(entry.UserAgent)
+		ua = parseUA(entry.UserAgent)
 		e.mu.Lock()
 		// Bound the cache against adversarial UA churn.
 		if len(e.uaCache) < 1<<16 {
@@ -58,7 +57,7 @@ func (e *SharedEnricher) EnrichInto(req *Request, entry logfmt.Entry) {
 		}
 		e.mu.Unlock()
 	}
-	req.UA = ua
+	req.setUA(ua)
 
 	if !ipHit {
 		if ip, err := iprep.ParseIPv4(entry.RemoteAddr); err == nil {

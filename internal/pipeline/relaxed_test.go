@@ -90,9 +90,9 @@ func perClient(streams ...[]rxDecision) map[uint32][]rxDecision {
 	return m
 }
 
-// TestRelaxedEquivalenceLargeStream is the relaxed mode's headline proof,
-// the analogue of TestShardedEquivalenceLargeStream under the weaker
-// contract: over a ≥50k-event stream and across several shard counts,
+// TestRelaxedEquivalenceLargeStream is the relaxed mode's headline proof
+// and the pipeline's only large-stream equivalence test: over a ≥50k-event
+// stream and across several shard counts,
 // (1) every client's decision sequence is byte-identical to the
 // sequential reference — same verdicts, same relative order, same
 // sequence numbers — and (2) the union of all shards' decisions is

@@ -89,7 +89,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 			return nil
 		}
 		kind := sitemodel.ClassifyPath(req.Entry.Path).Kind
-		ts, _ := store.Touch(sessions.KeyFor(req.IP, ev.Entry.UserAgent), ev.Entry.Time)
+		ts, _ := store.Touch(req.SessionKey(), ev.Entry.Time)
 		if ts.prev >= 0 {
 			acc.trans[ts.prev][kind]++
 		}

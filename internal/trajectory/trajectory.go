@@ -9,6 +9,7 @@ import (
 	"divscrape/internal/iprep"
 	"divscrape/internal/sessions"
 	"divscrape/internal/sitemodel"
+	"divscrape/internal/stats"
 	"divscrape/internal/uaparse"
 )
 
@@ -133,7 +134,7 @@ type session struct {
 	surprise    float64
 	prevKind    int8 // previous PageKind, -1 before the first request
 	views       uint64
-	products    map[int]struct{}
+	products    stats.IDSet
 	kinds       [sitemodel.KindCount]uint32
 }
 
@@ -201,15 +202,15 @@ func newStore(cfg Config) (*sessions.Store[session], error) {
 		IdleTimeout: cfg.IdleTimeout,
 		New: func(time.Time) *session {
 			return &session{
-				products: make(map[int]struct{}, 16),
+				products: stats.NewIDSet(16),
 				prevKind: -1,
 			}
 		},
-		// Recycle resets an ended session in place — the product map keeps
-		// its buckets — so session churn does not allocate in steady state.
+		// Recycle resets an ended session in place — the product set keeps
+		// its storage — so session churn does not allocate in steady state.
 		Recycle: func(st *session) {
 			products := st.products
-			clear(products)
+			products.Reset()
 			*st = session{
 				products: products,
 				prevKind: -1,
@@ -277,7 +278,7 @@ func (d *Detector) InspectInto(req *detector.Request, out *detector.Verdict) {
 	}
 
 	now := req.Entry.Time
-	st, _ := d.store.Touch(sessions.KeyFor(req.IP, req.Entry.UserAgent), now)
+	st, _ := d.store.Touch(req.SessionKey(), now)
 	d.observe(st, req)
 
 	if st.count < uint64(d.cfg.WarmupRequests) {
@@ -323,7 +324,7 @@ func (d *Detector) observe(st *session, req *detector.Request) {
 	}
 	if id := info.ProductID; id >= 0 {
 		st.views++
-		st.products[id] = struct{}{}
+		st.products.Add(id)
 	}
 }
 
@@ -365,7 +366,7 @@ func (d *Detector) fillFeatures(st *session) {
 	// their ratio sags. Deliberately modest weight — marathon bargain
 	// hunters sweep too, a documented false-positive trade-off.
 	if st.views >= uint64(d.cfg.SweepMinViews) {
-		uniq := float64(len(st.products)) / float64(st.views)
+		uniq := float64(st.products.Len()) / float64(st.views)
 		if uniq > 0.85 {
 			vec[idxSweep] = (uniq - 0.85) / 0.15
 		}
